@@ -225,6 +225,9 @@ func (mc *machine) ingress(phases int, in map[int]Transport, tokens chan struct{
 		defer mc.ctl.headFinished(mc.idx)
 	}
 	st, err := mc.eng.RunFeed(phases, func(p int) ([]core.ExtInput, error) {
+		if headGateHook != nil {
+			headGateHook(mc.idx, p)
+		}
 		if mc.ctl != nil && len(mc.upstream) == 0 && !mc.ctl.headProceed(mc.idx, p) {
 			mc.barrierAt = p - 1
 			return nil, core.ErrStopFeed

@@ -116,6 +116,11 @@ type epochCtl struct {
 	finished    map[int]bool
 }
 
+// headGateHook, when set, runs on every machine's ingress just before
+// the head gate for phase p. Tests use it to skew the heads' pace;
+// production leaves it nil.
+var headGateHook func(machine, p int)
+
 func newEpochCtl(epoch, base, total int, heads []int) *epochCtl {
 	c := &epochCtl{
 		epoch:       epoch,

@@ -1,9 +1,11 @@
 package distrib
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -390,4 +392,96 @@ func TestBarrierProtocolViolations(t *testing.T) {
 			t.Errorf("quiesced machine completed %d phases, want 2", st.PhasesCompleted)
 		}
 	})
+}
+
+// TestMultiHeadPauseLiveness: a fan-in whose two sources land on
+// different head machines must survive a drift-triggered pause. Head
+// 1 is slowed before its gate, so head 0 runs ahead until its egress
+// blocks behind machine 2, which waits on head 1's frames. Head 0 has
+// then passed its gate for a phase it cannot finish opening: a pause
+// that waits for every head to park never returns. The run must
+// finish, bit-identical to the oracle, well inside the bound.
+func TestMultiHeadPauseLiveness(t *testing.T) {
+	const phases = 1500
+	build := func() (*graph.Numbered, []core.Module, *[]int64) {
+		g := graph.New()
+		a, b, c := g.AddVertex("a"), g.AddVertex("b"), g.AddVertex("c")
+		g.MustEdge(a, c)
+		g.MustEdge(b, c)
+		ng, err := g.Number()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := func(salt uint64) core.Module {
+			return core.StepFunc(func(ctx *core.Context) {
+				ctx.EmitAll(event.Int(int64(mix(salt ^ uint64(ctx.Phase())))))
+			})
+		}
+		var log []int64
+		mods := make([]core.Module, 3)
+		mods[ng.IndexOf(a)-1] = src(1)
+		mods[ng.IndexOf(b)-1] = src(2)
+		mods[ng.IndexOf(c)-1] = core.StepFunc(func(ctx *core.Context) {
+			// The sink's own cost keeps the measured skew above the
+			// threshold, so the drift monitor pauses early and often.
+			t0 := time.Now()
+			for time.Since(t0) < 20*time.Microsecond {
+			}
+			sum := int64(ctx.Phase())
+			for p := 0; p < ctx.Ports(); p++ {
+				if v, ok := ctx.In(p); ok {
+					i, _ := v.AsInt()
+					sum = int64(mix(uint64(sum) ^ uint64(i)))
+				}
+			}
+			log = append(log, sum)
+		})
+		return ng, mods, &log
+	}
+	batches := make([][]core.ExtInput, phases)
+	ngRef, modsRef, ref := build()
+	if _, err := baseline.Sequential(ngRef, modsRef, batches); err != nil {
+		t.Fatal(err)
+	}
+
+	headGateHook = func(machine, p int) {
+		if machine == 1 {
+			time.Sleep(400 * time.Microsecond)
+		}
+	}
+	defer func() { headGateHook = nil }()
+
+	ng, mods, got := build()
+	type result struct {
+		st  Stats
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := Run(context.Background(), RunConfig{
+			Graph: ng, Mods: mods, Batches: batches,
+			Dist: Config{Machines: 3, WorkersPerMachine: 1, MaxInFlight: 8, Buffer: 4, Planner: Contiguous{}},
+		}, WithRebalancing(RebalanceConfig{
+			SkewThreshold:  1.1,
+			CheckEvery:     200 * time.Microsecond,
+			MinEpochPhases: 4,
+			MinSignal:      time.Microsecond,
+		}))
+		done <- result{st, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a drift pause over two head machines wedged the run")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.st.Rebalances) == 0 {
+		t.Error("the drift monitor never paused the run")
+	}
+	if !reflect.DeepEqual(*got, *ref) {
+		t.Errorf("sink history diverged from the oracle (%d vs %d values)", len(*got), len(*ref))
+	}
 }
