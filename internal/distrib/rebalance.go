@@ -112,7 +112,6 @@ type epochCtl struct {
 	pausing     bool
 	barrier     int // 0 = not yet decided
 	lastStarted map[int]int
-	parked      map[int]bool
 	finished    map[int]bool
 }
 
@@ -128,7 +127,6 @@ func newEpochCtl(epoch, base, total int, heads []int) *epochCtl {
 		total:       total,
 		heads:       heads,
 		lastStarted: make(map[int]int, len(heads)),
-		parked:      make(map[int]bool, len(heads)),
 		finished:    make(map[int]bool, len(heads)),
 	}
 	c.cond.L = &c.mu
@@ -156,43 +154,15 @@ func (c *epochCtl) headProceed(m, p int) bool {
 			c.cond.Broadcast()
 			return true
 		}
-		c.parked[m] = true
-		c.cond.Broadcast()
-		c.cond.Wait()
-		delete(c.parked, m)
-	}
-}
-
-// waitStarted blocks until some head machine has opened phase target
-// (reporting true) or every head has finished without reaching it
-// (false). The deterministic wake-up behind ForceEvery.
-func (c *epochCtl) waitStarted(target int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		p := c.base
-		done := true
-		for _, m := range c.heads {
-			if c.lastStarted[m] > p {
-				p = c.lastStarted[m]
-			}
-			if !c.finished[m] {
-				done = false
-			}
-		}
-		if p >= target {
-			return true
-		}
-		if done {
-			return false
-		}
 		c.cond.Wait()
 	}
 }
 
-// waitStartedHold is waitStarted with a deterministic follow-up: the
-// moment the target phase is reached (and no barrier has been decided
-// yet) it flips the controller into pausing, so the heads park at
+// waitStartedHold blocks until some head machine has opened phase
+// target (reporting true) or every head has finished without reaching
+// it (false) — the deterministic wake-up behind ForceEvery. The moment
+// the target is reached (and no barrier has been decided yet) it flips
+// the controller into pausing, so the heads park at
 // their very next phase start instead of racing ahead while the
 // coordinator's trigger decision is in flight. Without the hold, a
 // fast run can finish — or blow far past the target — between the
@@ -241,22 +211,23 @@ func (c *epochCtl) headFinished(m int) {
 	c.mu.Unlock()
 }
 
-// pause parks every head machine at its next phase start and returns
-// the newest phase any of them had opened (base if none) plus whether
-// every head already finished. Heads stay parked until publish; the
-// barrier decision itself belongs to the coordinator, which may be
-// aggregating pauses across several participants. Pausing after a
-// barrier was already published is a no-op reporting the settled
-// state.
+// pause returns a consistent progress snapshot: the newest phase any
+// head machine had opened (base if none) plus whether every head
+// already finished. From the moment pausing is set under mu no head
+// passes its gate, so lastStarted is frozen and a barrier at the
+// returned phase (or later) never asks a head to un-start work. A head
+// that passed its gate before the pause may still be opening that
+// phase — blocked on ship tokens behind a slower head, say — so pause
+// must not wait for heads to reach the gate: that wait is the
+// multi-head deadlock. Heads that reach the gate park there until
+// publish; the barrier decision itself belongs to the coordinator,
+// which aggregates the snapshots of every participant. Pausing after
+// a barrier was already published reports the settled state.
 func (c *epochCtl) pause() (started int, done bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.barrier == 0 {
 		c.pausing = true
-		c.cond.Broadcast()
-		for !c.headsSettledLocked() {
-			c.cond.Wait()
-		}
 	}
 	return c.progressLocked()
 }
@@ -294,17 +265,6 @@ func (c *epochCtl) progressLocked() (started int, done bool) {
 		}
 	}
 	return started, done
-}
-
-// headsSettledLocked reports whether every head machine is parked at
-// the gate or done opening phases. Caller holds mu.
-func (c *epochCtl) headsSettledLocked() bool {
-	for _, m := range c.heads {
-		if !c.parked[m] && !c.finished[m] {
-			return false
-		}
-	}
-	return true
 }
 
 // decided returns the published barrier, 0 if none was requested.
