@@ -9,6 +9,7 @@ package repro
 // BENCH.json for cross-PR tracking.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -238,9 +239,9 @@ func BenchmarkE9Partitioned(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ng, mods := w.Build()
-				st, err := distrib.RunStatic(ng, mods, experiments.Phases(phases), distrib.Config{
+				st, err := distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: experiments.Phases(phases), Dist: distrib.Config{
 					Machines: machines, WorkersPerMachine: 2, MaxInFlight: 16,
-				})
+				}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -264,7 +265,7 @@ func BenchmarkE12PipelineScaleOut(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ng, mods := w.Build()
-				st, err := distrib.RunStatic(ng, mods, experiments.Phases(phases), experiments.E12Config(machines))
+				st, err := distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: experiments.Phases(phases), Dist: experiments.E12Config(machines)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -372,7 +373,7 @@ func BenchmarkE13WireOverhead(b *testing.B) {
 					}
 					cfg.Network = tn
 				}
-				st, err := distrib.RunStatic(ng, mods, experiments.Phases(phases), cfg)
+				st, err := distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: experiments.Phases(phases), Dist: cfg})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -43,6 +43,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -170,12 +171,12 @@ func run(machineCount int, network distrib.Network, rebalance bool, driftAt int)
 	var st distrib.Stats
 	var err error
 	if rebalance {
-		st, err = distrib.RunRebalancing(w.Graph, w.Mods, batches, cfg, distrib.RebalanceConfig{
+		st, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: w.Graph, Mods: w.Mods, Batches: batches, Dist: cfg}, distrib.WithRebalancing(distrib.RebalanceConfig{
 			ForceEvery:   phases / 3,
 			MinRemaining: phases / 6,
-		})
+		}))
 	} else {
-		st, err = distrib.RunStatic(w.Graph, w.Mods, batches, cfg)
+		st, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: w.Graph, Mods: w.Mods, Batches: batches, Dist: cfg})
 	}
 	if err != nil {
 		log.Fatal(err)

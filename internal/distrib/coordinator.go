@@ -14,12 +14,12 @@ import (
 // Coordinator owns the epoch-switch state machine of dynamic
 // repartitioning (DESIGN.md §8–§9): drift detection, the quiesce
 // barrier, re-planning on measured costs, routing migrating state and
-// releasing participants into the next epoch. It is transport-agnostic
-// — it sees its deployment only through the Participant interface, so
-// the identical protocol drives the in-process runtime
-// (RunRebalancing, one localParticipant holding every machine) and a
-// multi-process deployment (one RemoteParticipant per fuseworker
-// process, speaking netwire control frames).
+// releasing participants into the next epoch. It sees its deployment
+// only through the Participant interface — one participant per machine,
+// each a ServeParticipant worker behind a RemoteParticipant — so the
+// identical protocol drives the Run facade's in-process workers (over
+// control pipes), a replay (RunScripted) and a multi-process
+// deployment (fuseworker processes over netwire control channels).
 type Coordinator struct {
 	// Graph is the global computation graph every epoch re-partitions.
 	Graph *graph.Numbered
@@ -34,15 +34,9 @@ type Coordinator struct {
 	Planner Planner
 	// Rebalance tunes the drift monitor and switch budget.
 	Rebalance RebalanceConfig
-	// Participants are the deployment members. With one participant it
-	// owns every machine; otherwise MachineOwner maps machines to
-	// participants.
+	// Participants are the deployment members: Participants[m] owns
+	// machine m.
 	Participants []Participant
-	// MachineOwner maps each machine index to the participant owning
-	// it. Nil defaults to participant 0 for everything when there is
-	// one participant, or the identity mapping when there is one
-	// participant per machine.
-	MachineOwner []int
 	// Rejoins, when non-nil, enables crash recovery (DESIGN.md §10):
 	// restarted workers' control channels arrive here and a
 	// recoverable mid-run failure rolls the flock back to its common
@@ -60,17 +54,48 @@ type Coordinator struct {
 	recoveries []RecoveryEvent
 	attempt    int             // relaunch generation, bumped per recovery
 	ctx        context.Context // set by the Run facade; nil = never cancelled
+	// script, when set, replaces the drift monitor with a committed
+	// schedule (RunScripted, whose Planner is a schedulePlanner over the
+	// same script): window i+1's base is epoch i's barrier, published
+	// before the epoch's machines run.
+	script []EpochPlan
 }
 
-// ownerOf resolves the participant index owning a machine.
-func (co *Coordinator) ownerOf(machine int) int {
-	if co.MachineOwner != nil {
-		return co.MachineOwner[machine]
+// launchBarrier is the barrier published at epoch's launch: the next
+// scripted window's base, or 0 (none) outside a replay.
+func (co *Coordinator) launchBarrier(epoch int) int {
+	if epoch+1 < len(co.script) {
+		return co.script[epoch+1].Base
 	}
-	if len(co.Participants) == 1 {
+	return 0
+}
+
+// launchHold is the hold armed at the launch of an epoch resuming after
+// base with switches already made: where ForceEvery will trigger, or 0
+// when the epoch's monitor will not wait for it — no ForceEvery, a
+// replay, or the switch budget spent.
+func (co *Coordinator) launchHold(rc RebalanceConfig, base, switches int) int {
+	if rc.ForceEvery <= 0 || co.script != nil || switches >= rc.MaxRebalances {
 		return 0
 	}
-	return machine
+	return base + rc.ForceEvery
+}
+
+// schedulePlanner hands out a committed schedule's partitions in order:
+// epoch 0's, then one per switch.
+type schedulePlanner struct {
+	script []EpochPlan
+	next   int
+}
+
+func (p *schedulePlanner) Name() string { return "replay" }
+
+func (p *schedulePlanner) Plan(*graph.Numbered, []float64, int) ([]int, error) {
+	if p.next >= len(p.script) {
+		return nil, fmt.Errorf("distrib: replay schedule exhausted after %d windows", p.next)
+	}
+	p.next++
+	return p.script[p.next-1].Starts, nil
 }
 
 // plan0 mirrors NewDeployment's cost validation and planning for the
@@ -126,7 +151,7 @@ func (co *Coordinator) Run() ([]RebalanceEvent, error) {
 		return nil, err
 	}
 	for _, p := range co.Participants {
-		if err := p.Begin(starts); err != nil {
+		if err := p.BeginAt(0, 0, starts, co.launchBarrier(0), co.launchHold(rc, 0, len(co.events))); err != nil {
 			co.abortAll(err)
 			return co.events, err
 		}
@@ -163,17 +188,18 @@ func (co *Coordinator) Run() ([]RebalanceEvent, error) {
 func (co *Coordinator) epochStep(rc RebalanceConfig, planner Planner, starts []int, base, epoch int) (resumePoint, bool, error) {
 	n := co.Graph.N()
 	total := co.Phases
-	trigger, skew, err := co.monitor(rc, base, total, starts)
-	if err != nil {
-		return resumePoint{}, false, err
-	}
-	barrier := 0
-	if trigger {
-		b, err := co.decideBarrier(base, total)
+	barrier, skew := co.launchBarrier(epoch), 0.0
+	if co.script == nil {
+		trigger, s, err := co.monitor(rc, base, total, starts)
 		if err != nil {
 			return resumePoint{}, false, err
 		}
-		barrier = b
+		if trigger {
+			if barrier, err = co.decideBarrier(base, total); err != nil {
+				return resumePoint{}, false, err
+			}
+		}
+		skew = s
 	}
 
 	// Wait for every participant to drain — to the barrier, or to
@@ -218,8 +244,7 @@ func (co *Coordinator) epochStep(rc RebalanceConfig, planner Planner, starts []i
 	if err := graph.ValidateStarts(n, newStarts); err != nil {
 		return resumePoint{}, false, fmt.Errorf("distrib: re-planning at phase %d: planner %s: %w", barrier, planner.Name(), err)
 	}
-	moves := planMigrations(n, starts, newStarts)
-	serialized, bytes, err := co.migrate(barrier, newStarts)
+	serialized, bytes, err := co.migrate(barrier, newStarts, co.launchBarrier(epoch+1), co.launchHold(rc, barrier, len(co.events)+1))
 	if err != nil {
 		return resumePoint{}, false, err
 	}
@@ -228,7 +253,7 @@ func (co *Coordinator) epochStep(rc RebalanceConfig, planner Planner, starts []i
 		Barrier:      barrier,
 		FromStarts:   append([]int(nil), starts...),
 		ToStarts:     append([]int(nil), newStarts...),
-		Moved:        len(moves),
+		Moved:        movedVertices(n, starts, newStarts),
 		Serialized:   serialized,
 		HandoffBytes: bytes,
 		Skew:         skew,
@@ -269,8 +294,8 @@ func (co *Coordinator) monitor(rc RebalanceConfig, base, total int, starts []int
 			return false, 0, err
 		}
 		if total-started < rc.MinRemaining {
-			// Decline the switch. WaitStarted holds the heads parked at
-			// the target (so this decision is deterministic on any
+			// Decline the switch. The launch hold parks the heads at the
+			// target (so this decision is deterministic on any
 			// GOMAXPROCS); a barrier at total releases them to run to
 			// completion, which quiesces as a plain finish.
 			for _, p := range co.Participants {
@@ -282,16 +307,7 @@ func (co *Coordinator) monitor(rc RebalanceConfig, base, total int, starts []int
 		}
 		return true, 0, nil
 	}
-	checkEvery := rc.CheckEvery
-	if co.Rebalance.CheckEvery <= 0 && len(co.Participants) > 1 {
-		// The in-process default (2ms) is tuned for direct-call polls;
-		// against remote participants every tick is one control-frame
-		// round trip per participant carrying a full times vector, so
-		// the default slows down rather than firehose the control
-		// channels. An explicit CheckEvery is honored as given.
-		checkEvery = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(checkEvery)
+	tick := time.NewTicker(rc.CheckEvery)
 	defer tick.Stop()
 	// Epoch-end signal: the channels are captured now (while this
 	// epoch runs), so the waiter goroutine drains and exits as soon as
@@ -339,15 +355,10 @@ func (co *Coordinator) monitor(rc RebalanceConfig, base, total int, starts []int
 
 // waitAnyStarted blocks until any participant's heads open the target
 // phase, reporting false when every participant finished (or declined)
-// without reaching it. With a single participant this is the
-// deterministic condition-variable wait the in-process binding
-// provides; remote participants poll internally and stand down when
-// paused.
+// without reaching it. Each wait runs worker-side on the epoch
+// controller's condition variable, and holds that worker's heads at
+// the target until the coordinator publishes a barrier.
 func (co *Coordinator) waitAnyStarted(target int) bool {
-	if len(co.Participants) == 1 {
-		ok, err := co.Participants[0].WaitStarted(target)
-		return ok && err == nil
-	}
 	results := make(chan bool, len(co.Participants))
 	for _, p := range co.Participants {
 		p := p
@@ -421,8 +432,9 @@ func (co *Coordinator) decideBarrier(base, total int) (int, error) {
 // migrate runs the state handoff of one epoch switch: every
 // participant serializes the state leaving it under the new plan, the
 // coordinator routes each snapshot to the participant gaining the
-// vertex, and Advance releases everyone into the next epoch.
-func (co *Coordinator) migrate(barrier int, newStarts []int) (serialized int, bytes int64, err error) {
+// vertex, and Advance releases everyone into the next epoch with its
+// launch settings.
+func (co *Coordinator) migrate(barrier int, newStarts []int, nextBarrier, nextHold int) (serialized int, bytes int64, err error) {
 	arriving := make([][]core.VertexSnapshot, len(co.Participants))
 	for i, p := range co.Participants {
 		h, err := p.Offload(barrier, newStarts)
@@ -435,12 +447,12 @@ func (co *Coordinator) migrate(barrier int, newStarts []int) (serialized int, by
 			if snap.Vertex < 1 || snap.Vertex > co.Graph.N() {
 				return 0, 0, fmt.Errorf("distrib: participant %d offloaded snapshot for vertex %d of %d", i, snap.Vertex, co.Graph.N())
 			}
-			owner := co.ownerOf(graph.PartitionOf(newStarts, snap.Vertex))
+			owner := graph.PartitionOf(newStarts, snap.Vertex)
 			arriving[owner] = append(arriving[owner], snap)
 		}
 	}
 	for i, p := range co.Participants {
-		if err := p.Advance(arriving[i]); err != nil {
+		if err := p.Advance(arriving[i], nextBarrier, nextHold); err != nil {
 			return serialized, bytes, fmt.Errorf("distrib: advancing participant %d past phase %d: %w", i, barrier, err)
 		}
 	}

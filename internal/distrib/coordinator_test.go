@@ -83,55 +83,6 @@ func (p *scriptPlanner) Plan(g *graph.Numbered, costs []float64, machines int) (
 	return append([]int(nil), s...), nil
 }
 
-// chanExchange hands both endpoints of each (from, to, epoch) data
-// link to the two participants wiring it — the in-process stand-in for
-// a network between worker goroutines.
-type chanExchange struct {
-	mu    sync.Mutex
-	links map[[3]int]*ChannelTransport
-}
-
-func newChanExchange() *chanExchange {
-	return &chanExchange{links: make(map[[3]int]*ChannelTransport)}
-}
-
-func (x *chanExchange) get(from, to, epoch, depth int) (*ChannelTransport, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	k := [3]int{from, to, epoch}
-	if tr := x.links[k]; tr != nil {
-		return tr, nil
-	}
-	tr, err := NewChannelTransport(from, to, depth)
-	if err != nil {
-		return nil, err
-	}
-	x.links[k] = tr
-	return tr, nil
-}
-
-func (x *chanExchange) wireFor(machine int) WireFunc {
-	return func(d *Deployment, epoch int) (in, out map[int]Transport, err error) {
-		out = make(map[int]Transport)
-		for _, dst := range d.Downstream(machine) {
-			tr, err := x.get(machine, dst, epoch, d.Buffer())
-			if err != nil {
-				return nil, nil, err
-			}
-			out[dst] = tr
-		}
-		in = make(map[int]Transport)
-		for _, up := range d.Upstream(machine) {
-			tr, err := x.get(up, machine, epoch, d.Buffer())
-			if err != nil {
-				return nil, nil, err
-			}
-			in[up] = tr
-		}
-		return in, out, nil
-	}
-}
-
 // workerResult is one simulated worker process's outcome.
 type workerResult struct {
 	machine int
@@ -167,10 +118,10 @@ func TestCoordinatorMultiProcess(t *testing.T) {
 			// with the ZScoreDetector (4). All mid-window.
 			script := &scriptPlanner{seq: [][]int{{1, 4}, {1, 3}, {1, 5}}}
 
-			var exchange *chanExchange
+			var exchange *linkExchange
 			var hosts []*WireHost
 			if transport == "chan" {
-				exchange = newChanExchange()
+				exchange = newLinkExchange(ChannelNetwork{})
 			} else {
 				addrs := make([]string, machines)
 				tmp := make([]*netwire.Listener, machines)
@@ -394,6 +345,20 @@ func TestRemoteParticipantStaleEpochReply(t *testing.T) {
 	}
 }
 
+// TestRemoteParticipantKeepsRootCause: a worker that aborts queues its
+// root cause and closes the channel. A request racing that close must
+// report the queued abort, not the bare closed channel it ran into.
+func TestRemoteParticipantKeepsRootCause(t *testing.T) {
+	coordCh, workerCh := NewCtlPipe()
+	workerCh.Send(netwire.WireFrame{Kind: netwire.FrameAbort, Msg: "injected root cause"})
+	workerCh.Close()
+	rp := NewRemoteParticipant(coordCh, "machine 1")
+	_, err := rp.Poll()
+	if err == nil || !strings.Contains(err.Error(), "injected root cause") {
+		t.Fatalf("poll after the worker's abort returned %v, want the worker's root cause", err)
+	}
+}
+
 // TestServeParticipantStaleEpochFrame: a worker that receives a
 // control frame for another epoch aborts cleanly, naming the rule.
 func TestServeParticipantStaleEpochFrame(t *testing.T) {
@@ -450,10 +415,10 @@ func testParticipantCrash(t *testing.T, transport string) {
 	batches := make([][]core.ExtInput, phases)
 	script := &scriptPlanner{seq: [][]int{{1, 4}}}
 
-	var exchange *chanExchange
+	var exchange *linkExchange
 	var hosts []*WireHost
 	if transport == "chan" {
-		exchange = newChanExchange()
+		exchange = newLinkExchange(ChannelNetwork{})
 	} else {
 		addrs := make([]string, machines)
 		for m := range addrs {
@@ -567,5 +532,27 @@ func testParticipantCrash(t *testing.T, transport string) {
 	}
 	if after := waitGoroutinesBelow(before, 10*time.Second); after > before {
 		t.Errorf("goroutine leak after crash: %d before, %d after", before, after)
+	}
+}
+
+// A migrating vertex without core.Snapshotter moves by reference
+// between workers that share one module slice, and is refused between
+// separate processes, which would otherwise drop its state.
+func TestLeavingSnapsByReference(t *testing.T) {
+	noop := core.StepFunc(func(*core.Context) {})
+	mods := []core.Module{noop, noop, &snapMod{state: 5}, noop}
+	// Machine 0 owns 1..3, then only 1: vertices 2 and 3 leave it.
+	oldStarts, newStarts := []int{1, 4}, []int{1, 2}
+
+	snaps, err := leavingSnaps(mods, 0, oldStarts, newStarts, newSnapCache(), true)
+	if err != nil {
+		t.Fatalf("shared modules: %v", err)
+	}
+	if len(snaps) != 1 || snaps[0].Vertex != 3 {
+		t.Errorf("shared modules shipped %+v, want only vertex 3's snapshot", snaps)
+	}
+	if _, err := leavingSnaps(mods, 0, oldStarts, newStarts, newSnapCache(), false); err == nil ||
+		!strings.Contains(err.Error(), "vertex 2") {
+		t.Errorf("separate processes: got %v, want vertex 2 refused", err)
 	}
 }

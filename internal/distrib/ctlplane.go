@@ -1,15 +1,16 @@
 // Control plane for dynamic repartitioning (DESIGN.md §9): the
 // epoch-switch state machine lives in a Coordinator that talks to
-// Participants only through the narrow interface below, so the same
-// protocol drives both deployments — the in-process one (a single
-// participant holding every machine, bound by direct calls) and the
-// multi-process one (one participant per fuseworker process, bound by
-// netwire control channels).
+// Participants only through the narrow interface below. There is one
+// participant per machine, always a ServeParticipant worker reached
+// through a RemoteParticipant: over in-process control pipes for the
+// Run facade's coordinated runs and for replay, over netwire control
+// channels for fuseworker processes.
 
 package distrib
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -46,7 +47,6 @@ type QuiesceReport struct {
 type Handoff struct {
 	// Leaving carries serialized state for vertices migrating off this
 	// participant, for the coordinator to route to their new owners.
-	// The in-process binding migrates internally and leaves it empty.
 	Leaving []core.VertexSnapshot
 	// Serialized counts vertices whose state crossed a Snapshotter
 	// round-trip on this participant's side.
@@ -81,15 +81,13 @@ type CkptInfo struct {
 	Has bool
 }
 
-// Participant is the coordinator's handle on one member of a
-// rebalancing deployment — either the single in-process participant
-// holding every machine, or one fuseworker process. The coordinator
-// drives each epoch through a fixed call sequence: Begin (epoch 0),
-// then per epoch zero or more WaitStarted/Poll calls, optionally
-// Pause + SetBarrier, then AwaitQuiesce; after a mid-run barrier,
-// Offload + Advance move state and start the next epoch; Finish
-// releases the participant when the run is over, and Abort tears it
-// down on any failure.
+// Participant is the coordinator's handle on one machine's worker of a
+// rebalancing deployment. The coordinator drives each epoch through a
+// fixed call sequence: BeginAt (epoch 0), then per epoch zero or more
+// WaitStarted/Poll calls, optionally Pause + SetBarrier, then
+// AwaitQuiesce; after a mid-run barrier, Offload + Advance move state
+// and start the next epoch; Finish releases the participant when the
+// run is over, and Abort tears it down on any failure.
 //
 // The recovery path (DESIGN.md §10) adds a second sequence, driven
 // only when the coordinator has durable participants: Reset parks a
@@ -97,9 +95,6 @@ type CkptInfo struct {
 // state from the reconciled stable epoch, and BeginAt relaunches from
 // that barrier under a fresh epoch number.
 type Participant interface {
-	// Begin starts epoch 0, covering every phase under the given
-	// partition.
-	Begin(starts []int) error
 	// WaitStarted blocks until the participant's head machines have
 	// opened phase target (true) or finished without reaching it
 	// (false). Participants without head machines return false
@@ -107,8 +102,9 @@ type Participant interface {
 	WaitStarted(target int) (bool, error)
 	// Poll reports the participant's current progress.
 	Poll() (Progress, error)
-	// Pause parks the participant's head machines at their next phase
-	// start and reports how far they had run; they stay parked until
+	// Pause returns a consistent progress snapshot: the newest phase
+	// the participant's head machines had opened. From then on no head
+	// opens a later phase — heads reaching their gate park there — until
 	// SetBarrier.
 	Pause() (Progress, error)
 	// SetBarrier publishes the epoch barrier: heads resume, run
@@ -126,18 +122,23 @@ type Participant interface {
 	// state leaving this participant under it.
 	Offload(barrier int, newStarts []int) (Handoff, error)
 	// Advance delivers the state arriving at this participant and
-	// starts the next epoch at base = barrier.
-	Advance(arriving []core.VertexSnapshot) error
+	// starts the next epoch at base = the Offload barrier, with that
+	// epoch's launch barrier and hold (see BeginAt).
+	Advance(arriving []core.VertexSnapshot, barrier, hold int) error
 	// Finish releases the participant: the run is over and no further
 	// epoch follows.
 	Finish() error
 	// Abort tears the participant down after a coordinator-side
 	// failure, carrying the root cause for its error report.
 	Abort(reason error)
-	// BeginAt starts an epoch from a recovered barrier: like Begin but
-	// with an explicit epoch number and base phase. Begin(starts) is
-	// BeginAt(0, 0, starts).
-	BeginAt(epoch, base int, starts []int) error
+	// BeginAt starts an epoch at the given number and base phase
+	// under starts: epoch 0 at base 0, or a relaunch from a recovered
+	// barrier. Both launch settings are in place before any machine
+	// runs: a nonzero barrier is the epoch's barrier (a replay's
+	// scripted cut), and a nonzero hold parks the heads once they have
+	// opened phase hold, until SetBarrier — the ForceEvery trigger,
+	// which WaitStarted(hold) then reports.
+	BeginAt(epoch, base int, starts []int, barrier, hold int) error
 	// Reset parks the participant — abandoning its live epoch, if any —
 	// and reports its newest durable checkpoint. Only participants
 	// backed by a WAL can honor it.
@@ -150,8 +151,8 @@ type Participant interface {
 
 // CtlChannel is a full-duplex, ordered control connection between the
 // coordinator and one participant. netwire.CtlConn implements it over
-// TCP; NewCtlPipe returns an in-process pair for tests and for the
-// coordinator process's own participant.
+// TCP; NewCtlPipe returns an in-process pair for the Run facade's
+// workers and the coordinator process's own participant.
 type CtlChannel interface {
 	// Send delivers one control frame. Safe for concurrent use.
 	Send(f netwire.WireFrame) error
@@ -172,21 +173,17 @@ var errCtlClosed = errors.New("distrib: control channel closed")
 type ctlPipeState struct {
 	atob, btoa chan netwire.WireFrame
 	closed     chan struct{}
+	closeOnce  sync.Once // both ends may close at once
 }
 
 func (s *ctlPipeState) close() {
-	select {
-	case <-s.closed:
-	default:
-		close(s.closed)
-	}
+	s.closeOnce.Do(func() { close(s.closed) })
 }
 
 // ctlPipeEnd is one end of an in-process control channel.
 type ctlPipeEnd struct {
-	s        *ctlPipeState
-	out, in  chan netwire.WireFrame
-	closeEnd func()
+	s       *ctlPipeState
+	out, in chan netwire.WireFrame
 }
 
 // NewCtlPipe returns the two ends of an in-process control channel —

@@ -97,9 +97,10 @@ type Stats struct {
 	Planner string
 	// Transport names the Network that carried the links.
 	Transport string
-	// Rebalances records each epoch switch a RunRebalancing run
-	// performed, in order; empty for plain Run. After a rebalance,
-	// Starts/CrossEdges/Planner describe the newest epoch's plan and
+	// Rebalances records each epoch switch a coordinated run
+	// performed, in order; empty for a static run. After a rebalance,
+	// Starts/CrossEdges describe the newest epoch's plan, Links holds
+	// every epoch's links (by epoch, then by machine pair) and
 	// PerMachine[m] aggregates machine m's counters across epochs.
 	Rebalances []RebalanceEvent
 	// Recoveries records each crash recovery of a durable coordinated
@@ -180,12 +181,11 @@ type machine struct {
 	// epoch and base identify the machine's run window under dynamic
 	// repartitioning: it runs phases base+1 onward, tagging every frame
 	// with epoch and rejecting frames tagged otherwise. Both stay zero
-	// outside RunRebalancing, reproducing the single-epoch behavior
-	// exactly.
+	// in a static run.
 	epoch int
 	base  int
-	// ctl couples head machines (no upstream links) to the epoch
-	// barrier; nil outside RunRebalancing. Non-head machines learn the
+	// ctl couples a head machine (no upstream links) to the epoch
+	// barrier; nil in a static run. Non-head machines learn the
 	// barrier in-band, from the barrier frames their upstreams flood.
 	ctl *epochCtl
 	// barrierAt, when nonzero, is the phase this machine quiesced at:
@@ -222,13 +222,13 @@ type machine struct {
 func (mc *machine) ingress(phases int, in map[int]Transport, tokens chan struct{}, started chan<- int, fail func(error)) core.Stats {
 	defer close(started)
 	if mc.ctl != nil && len(mc.upstream) == 0 {
-		defer mc.ctl.headFinished(mc.idx)
+		defer mc.ctl.headFinished()
 	}
 	st, err := mc.eng.RunFeed(phases, func(p int) ([]core.ExtInput, error) {
 		if headGateHook != nil {
 			headGateHook(mc.idx, p)
 		}
-		if mc.ctl != nil && len(mc.upstream) == 0 && !mc.ctl.headProceed(mc.idx, p) {
+		if mc.ctl != nil && len(mc.upstream) == 0 && !mc.ctl.headProceed(p) {
 			mc.barrierAt = p - 1
 			return nil, core.ErrStopFeed
 		}
@@ -269,7 +269,7 @@ func (mc *machine) ingress(phases int, in map[int]Transport, tokens chan struct{
 				ext = append(ext, f.Inputs...)
 				netwire.RecycleInputs(f.Inputs)
 			default:
-				return nil, fmt.Errorf("distrib: machine %d: unexpected frame kind %d from upstream %d", mc.idx, f.Kind, up)
+				return nil, fmt.Errorf("distrib: machine %d: unexpected frame kind %s from upstream %d", mc.idx, netwire.KindName(uint8(f.Kind)), up)
 			}
 		}
 		if barriers > 0 {
@@ -392,8 +392,8 @@ func (mc *machine) ship(out map[int]Transport, p int) error {
 // Deployment is single-use (engines and modules are stateful): plan,
 // run every machine once, discard.
 //
-// RunStatic wires and drives all machines in-process (the Run facade's
-// no-options path); RunMachine drives one machine over caller-supplied
+// runWired drives all machines in-process (the Run facade's static
+// path); RunMachine drives one machine over caller-supplied
 // transports, which is how cmd/fuseworker turns the same plan into a
 // multi-process deployment.
 type Deployment struct {
@@ -428,8 +428,8 @@ func NewDeployment(g *graph.Numbered, mods []core.Module, cfg Config) (*Deployme
 }
 
 // newDeploymentAt is NewDeployment positioned at an arbitrary run
-// window — the epoch constructor RunRebalancing uses after each
-// barrier.
+// window — the epoch constructor a coordinated worker uses at each
+// launch.
 func newDeploymentAt(g *graph.Numbered, mods []core.Module, cfg Config, window runWindow) (*Deployment, error) {
 	if len(mods) != g.N() {
 		return nil, fmt.Errorf("distrib: %d modules for %d vertices", len(mods), g.N())
@@ -580,36 +580,9 @@ func (mc *machine) run(phases, window int, in, out map[int]Transport, fail func(
 	return st
 }
 
-// RunStatic executes the computation partitioned across machines
-// in-process, on one fixed plan, and returns aggregate stats.
-// mods[v-1] is the module for global vertex v, exactly as for
-// core.New; batches are the per-phase external inputs in global vertex
-// indices. The run is bit-identical to baseline.Sequential over the
-// same graph and modules (pinned by the equivalence tests), for every
-// planner and every Transport.
-//
-// Deprecated: RunStatic is the legacy fixed-plan entry point. New code
-// should call Run, the option-based facade that also covers
-// rebalancing, fault injection, durable epochs and event-log taps.
-func RunStatic(g *graph.Numbered, mods []core.Module, batches [][]core.ExtInput, cfg Config) (Stats, error) {
-	d, err := NewDeployment(g, mods, cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	net := cfg.Network
-	if net == nil {
-		net = ChannelNetwork{}
-		defer net.Close()
-	}
-	return d.runWired(batches, newTapNetwork(net, cfg.Tap))
-}
-
 // runWired wires every connected machine pair through net and drives
-// all machines of the deployment in-process. batches are the epoch's
-// per-phase external inputs, already sliced to this deployment's run
-// window (batches[i] feeds phase window.base+1+i). It is the engine
-// room shared by Run (one epoch covering the whole computation) and
-// RunRebalancing (one call per epoch).
+// all machines of the deployment in-process over the run's per-phase
+// external inputs — the Run facade's static path.
 func (d *Deployment) runWired(batches [][]core.ExtInput, net Network) (Stats, error) {
 	t0 := time.Now()
 	// Wire every connected machine pair through the Network, in

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -298,10 +299,10 @@ func TestPartitionedMatchesSequential(t *testing.T) {
 		for _, planner := range equivalencePlanners() {
 			for _, machines := range []int{1, 2, 3, 5} {
 				ng, mods, sinks := buildWorkload(t, seed)
-				st, err := RunStatic(ng, mods, batches, Config{
+				st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: Config{
 					Machines: machines, WorkersPerMachine: 2, MaxInFlight: 8, Buffer: 4,
 					Planner: planner,
-				})
+				}})
 				if err != nil {
 					t.Fatalf("%s machines=%d: %v", planner.Name(), machines, err)
 				}
@@ -388,10 +389,10 @@ func TestEquivalenceSweepPlannerOutputs(t *testing.T) {
 		for _, planner := range equivalencePlanners() {
 			for _, machines := range []int{2, 3, 4} {
 				ng, mods, sinks := build()
-				st, err := RunStatic(ng, mods, batches, Config{
+				st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: Config{
 					Machines: machines, WorkersPerMachine: 2, MaxInFlight: 6, Buffer: 2,
 					Planner: planner, Costs: costs,
-				})
+				}})
 				if err != nil {
 					t.Fatalf("seed=%d %s machines=%d: %v", seed, planner.Name(), machines, err)
 				}
@@ -437,7 +438,7 @@ func TestPartitionedChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	ng, mods, rs := mk()
-	st, err := RunStatic(ng, mods, batches, Config{Machines: 3, WorkersPerMachine: 2})
+	st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: Config{Machines: 3, WorkersPerMachine: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +502,7 @@ func TestPartitionedExternalInputs(t *testing.T) {
 		{{Vertex: 1, Port: 0, Val: event.Int(10)}, {Vertex: 2, Port: 0, Val: event.Int(5)}},
 		{{Vertex: 2, Port: 0, Val: event.Int(7)}},
 	}
-	if _, err := RunStatic(ng, mods, batches, Config{Machines: 2, WorkersPerMachine: 1}); err != nil {
+	if _, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: Config{Machines: 2, WorkersPerMachine: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs.log) != 2 {
@@ -577,9 +578,9 @@ func TestCrossPortOrderMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	mods, rs := mk()
-	if _, err := RunStatic(ng, mods, batches, Config{
+	if _, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: Config{
 		Machines: 2, WorkersPerMachine: 1, Planner: fixedPlanner{[]int{1, 2}},
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if !sinkLogsEqual([]*recSink{rsRef}, []*recSink{rs}) {
@@ -597,14 +598,14 @@ func TestCrossPortOrderMatchesSequential(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	ng, _ := graph.Chain(3).Number()
 	mods := []core.Module{bridge{}, bridge{}}
-	if _, err := RunStatic(ng, mods, nil, Config{Machines: 1}); err == nil {
+	if _, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: nil, Dist: Config{Machines: 1}}); err == nil {
 		t.Error("module count mismatch accepted")
 	}
 	full := []core.Module{bridge{}, bridge{}, bridge{}}
-	if _, err := RunStatic(ng, full, nil, Config{Machines: 4}); err == nil {
+	if _, err := Run(context.Background(), RunConfig{Graph: ng, Mods: full, Batches: nil, Dist: Config{Machines: 4}}); err == nil {
 		t.Error("machines > vertices accepted")
 	}
-	if _, err := RunStatic(ng, full, nil, Config{Machines: 2, Costs: []float64{1}}); err == nil {
+	if _, err := Run(context.Background(), RunConfig{Graph: ng, Mods: full, Batches: nil, Dist: Config{Machines: 2, Costs: []float64{1}}}); err == nil {
 		t.Error("short cost vector accepted")
 	}
 }

@@ -1,10 +1,11 @@
 // The run facade: one entry point for every shape of partitioned run.
-// RunStatic, RunRebalancing and the Coordinator/ServeParticipant pair
-// grew up as separate doors into the same runtime; Run collapses them
-// behind a single RunConfig plus functional options, so callers choose
+// Run takes a RunConfig plus functional options, so callers choose
 // capabilities (rebalancing, fault injection, durable epochs, event-log
-// taps, crash recovery) instead of entry points. The legacy names
-// remain as thin deprecated wrappers.
+// taps, crash recovery) instead of entry points. A static run drives
+// every machine of one Deployment directly; every coordinated run —
+// rebalancing, durable, or a replay through RunScripted — is a
+// Coordinator over one in-process ServeParticipant worker per machine,
+// the same protocol a fuseworker flock speaks over TCP.
 
 package distrib
 
@@ -12,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -52,7 +54,7 @@ type Option func(*runOpts)
 
 // WithRebalancing makes the run coordinated: a Coordinator watches
 // measured per-vertex cost drift and re-partitions the deployment
-// mid-run under rc, exactly as RunRebalancing did.
+// mid-run under rc.
 func WithRebalancing(rc RebalanceConfig) Option {
 	return func(o *runOpts) { o.rebalance = &rc }
 }
@@ -71,12 +73,10 @@ func WithFaults(fp FaultPlan) Option {
 	return func(o *runOpts) { o.fault = &fp }
 }
 
-// WithWAL makes the run durable: each machine runs as its own
-// in-process worker (the multi-process control-plane protocol over
-// in-memory pipes) writing fsynced epoch checkpoints to
-// dir/machine-N.wal. Requires WithRebalancing — durability is a
-// property of the coordinated protocol — and every module must
-// implement core.Snapshotter.
+// WithWAL makes the run durable: each machine's worker writes fsynced
+// epoch checkpoints to dir/machine-N.wal. Requires WithRebalancing —
+// durability is a property of the coordinated protocol — and every
+// module must implement core.Snapshotter.
 func WithWAL(dir string) Option {
 	return func(o *runOpts) { o.walDir = dir }
 }
@@ -90,9 +90,9 @@ func WithRecovery(rc RecoverConfig) Option {
 }
 
 // Run executes the computation partitioned across machines and returns
-// aggregate stats. With no options it is a static single-plan run
-// (RunStatic); options layer on rebalancing, fault injection, durable
-// epochs, crash recovery and event-log taps, in any valid combination.
+// aggregate stats. With no options it is a static single-plan run;
+// options layer on rebalancing, fault injection, durable epochs, crash
+// recovery and event-log taps, in any valid combination.
 //
 // ctx is consulted at run start and between epochs of a coordinated
 // run; a static run, once launched, runs to completion. The run is
@@ -117,8 +117,6 @@ func Run(ctx context.Context, rc RunConfig, opts ...Option) (Stats, error) {
 	cfg := rc.Dist
 	if o.tap != nil {
 		cfg.Tap = o.tap
-	} else {
-		o.tap = cfg.Tap
 	}
 	net := cfg.Network
 	if net == nil {
@@ -130,83 +128,71 @@ func Run(ctx context.Context, rc RunConfig, opts ...Option) (Stats, error) {
 	}
 	cfg.Network = net
 
-	switch {
-	case o.walDir != "":
-		return runDurable(ctx, rc, cfg, o)
-	case o.rebalance != nil:
-		return runCoordinated(ctx, rc, cfg, o)
-	default:
-		return RunStatic(rc.Graph, rc.Mods, rc.Batches, cfg)
-	}
-}
-
-// runCoordinated is the in-process rebalancing path: one
-// localParticipant holding every machine, driven by a Coordinator.
-func runCoordinated(ctx context.Context, rc RunConfig, cfg Config, o runOpts) (Stats, error) {
-	t0 := time.Now()
-	tapped := newTapNetwork(cfg.Network, o.tap)
-	epochCfg := cfg
-	epochCfg.Network = tapped
-	lp := &localParticipant{
-		g:       rc.Graph,
-		mods:    rc.Mods,
-		batches: rc.Batches,
-		cfg:     epochCfg,
-		net:     tapped,
-		total:   len(rc.Batches),
+	if o.rebalance == nil {
+		d, err := NewDeployment(rc.Graph, rc.Mods, cfg)
+		if err != nil {
+			return Stats{}, err
+		}
+		return d.runWired(rc.Batches, newTapNetwork(net, cfg.Tap))
 	}
 	co := &Coordinator{
-		Graph:        rc.Graph,
-		Costs:        cfg.Costs,
-		Machines:     cfg.Machines,
-		Phases:       len(rc.Batches),
-		Planner:      cfg.Planner,
-		Rebalance:    *o.rebalance,
-		Participants: []Participant{lp},
-		Tap:          o.tap,
-		ctx:          ctx,
+		Graph:     rc.Graph,
+		Costs:     cfg.Costs,
+		Machines:  cfg.Machines,
+		Phases:    len(rc.Batches),
+		Planner:   cfg.Planner,
+		Rebalance: *o.rebalance,
+		ctx:       ctx,
 	}
-	events, err := co.Run()
-	st := lp.agg
-	st.Rebalances = events
-	st.Recoveries = co.Recoveries()
-	st.Wall = time.Since(t0)
-	return st, err
+	if co.Planner == nil {
+		co.Planner = CostAware{}
+	}
+	if o.recovery != nil {
+		// Every worker is in-process, so a recoverable failure is always
+		// the park-and-rollback shape (processes survive); the offer
+		// channel exists only to arm the recovery path.
+		co.Rejoins = make(chan RejoinOffer)
+		co.Recovery = *o.recovery
+	}
+	return runFlock(co, rc, cfg, o.walDir)
 }
 
-// runDurable is the durable coordinated path: every machine runs as
-// its own worker speaking the multi-process control-plane protocol
-// over in-memory pipes, with a WAL per machine, so the exact
-// checkpoint/park/rollback/relaunch machinery of a real multi-process
-// deployment runs in one address space. Data links are deduped through
-// the configured Network (so fault injection and taps apply to them),
-// keyed by epoch exactly as fuseworker processes re-wire per epoch.
-func runDurable(ctx context.Context, rc RunConfig, cfg Config, o runOpts) (Stats, error) {
+// runFlock runs a coordinated run in process: every machine is its own
+// ServeParticipant worker, reached by co through a RemoteParticipant
+// over an in-memory control pipe, with data links from a linkExchange —
+// the exact protocol of a multi-process flock, in one address space.
+// Workers share rc.Mods, so vertices without core.Snapshotter migrate
+// by reference. With walDir set each worker checkpoints into
+// walDir/machine-N.wal. Data links go through cfg.Network (so fault
+// injection and taps apply to them), keyed by epoch exactly as
+// fuseworker processes re-wire per epoch.
+func runFlock(co *Coordinator, rc RunConfig, cfg Config, walDir string) (Stats, error) {
 	t0 := time.Now()
-	machines := cfg.Machines
+	machines := co.Machines
 	if machines <= 0 {
-		return Stats{}, fmt.Errorf("distrib: durable run needs Machines >= 1, got %d", machines)
+		return Stats{}, fmt.Errorf("distrib: coordinated run needs Machines >= 1, got %d", machines)
 	}
-	phases := len(rc.Batches)
-	ex := &linkExchange{net: newTapNetwork(cfg.Network, o.tap), links: make(map[[3]int]Transport)}
+	ex := newLinkExchange(newTapNetwork(cfg.Network, cfg.Tap))
 
-	sig := fmt.Sprintf("facade/n=%d/machines=%d/phases=%d", rc.Graph.N(), machines, phases)
 	logs := make([]*wal.Log, machines)
-	for m := range logs {
-		l, err := wal.Open(filepath.Join(o.walDir, fmt.Sprintf("machine-%d.wal", m)), m, sig)
-		if err != nil {
-			for _, open := range logs[:m] {
-				open.Close()
+	if walDir != "" {
+		sig := fmt.Sprintf("facade/n=%d/machines=%d/phases=%d", rc.Graph.N(), machines, len(rc.Batches))
+		for m := range logs {
+			l, err := wal.Open(filepath.Join(walDir, fmt.Sprintf("machine-%d.wal", m)), m, sig)
+			if err != nil {
+				for _, open := range logs[:m] {
+					open.Close()
+				}
+				return Stats{}, fmt.Errorf("distrib: opening machine %d WAL: %w", m, err)
 			}
-			return Stats{}, fmt.Errorf("distrib: opening machine %d WAL: %w", m, err)
+			logs[m] = l
 		}
-		logs[m] = l
+		defer func() {
+			for _, l := range logs {
+				l.Close()
+			}
+		}()
 	}
-	defer func() {
-		for _, l := range logs {
-			l.Close()
-		}
-	}()
 
 	workerCfg := cfg
 	workerCfg.Network = nil // workers wire data links through the exchange
@@ -217,57 +203,35 @@ func runDurable(ctx context.Context, rc RunConfig, cfg Config, o runOpts) (Stats
 		err error
 	}
 	results := make(chan outcome, machines)
-	parts := make([]Participant, machines)
+	co.Participants = make([]Participant, machines)
+	co.Tap = cfg.Tap
 	for m := 0; m < machines; m++ {
 		coordCh, workerCh := NewCtlPipe()
-		if o.tap != nil {
-			coordCh = TapCtlChannel(coordCh, o.tap, m)
-		}
-		parts[m] = NewRemoteParticipant(coordCh, fmt.Sprintf("machine %d", m))
+		co.Participants[m] = NewRemoteParticipant(TapCtlChannel(coordCh, cfg.Tap, m), fmt.Sprintf("machine %d", m))
 		wc := WorkerConfig{
-			Machine: m,
-			Graph:   rc.Graph,
-			Mods:    rc.Mods,
-			Config:  workerCfg,
-			Batches: rc.Batches,
-			Wire:    ex.wireFor(m),
-			WAL:     logs[m],
+			Machine:    m,
+			Graph:      rc.Graph,
+			Mods:       rc.Mods,
+			Config:     workerCfg,
+			Batches:    rc.Batches,
+			Wire:       ex.wireFor(m),
+			WAL:        logs[m],
+			sharedMods: true,
 		}
 		go func(m int, ch CtlChannel, wc WorkerConfig) {
 			rep, err := ServeParticipant(ch, wc)
 			results <- outcome{m, rep, err}
 		}(m, workerCh, wc)
 	}
-
-	co := &Coordinator{
-		Graph:        rc.Graph,
-		Costs:        cfg.Costs,
-		Machines:     machines,
-		Phases:       phases,
-		Planner:      cfg.Planner,
-		Rebalance:    *o.rebalance,
-		Participants: parts,
-		Tap:          o.tap,
-		ctx:          ctx,
-	}
-	if o.recovery != nil {
-		// Every worker is in-process, so a recoverable failure is always
-		// the park-and-rollback shape (processes survive); the offer
-		// channel exists only to arm the recovery path.
-		co.Rejoins = make(chan RejoinOffer)
-		co.Recovery = *o.recovery
-	}
 	events, err := co.Run()
 
 	// Collect every worker before the deferred WAL close; on the error
 	// path the coordinator has aborted them, so give up on any that
 	// fail to unwind rather than wedge the caller.
-	var st Stats
-	st.PerMachine = make([]core.Stats, machines)
-	st.Transport = ex.net.Name()
+	st := Stats{PerMachine: make([]core.Stats, machines), Planner: co.Planner.Name()}
 	deadline := time.After(30 * time.Second)
 drain:
-	for range parts {
+	for range machines {
 		select {
 		case r := <-results:
 			st.PerMachine[r.m] = r.rep.Stats
@@ -284,6 +248,11 @@ drain:
 			break drain
 		}
 	}
+	if st.Starts != nil {
+		st.CrossEdges = graph.CutEdges(rc.Graph, st.Starts)
+	}
+	st.Links, st.CrossMessages = ex.stats()
+	st.Transport = ex.net.Name()
 	st.Rebalances = events
 	st.Recoveries = co.Recoveries()
 	st.Wall = time.Since(t0)
@@ -300,6 +269,10 @@ type linkExchange struct {
 	links map[[3]int]Transport
 }
 
+func newLinkExchange(net Network) *linkExchange {
+	return &linkExchange{net: net, links: make(map[[3]int]Transport)}
+}
+
 func (x *linkExchange) get(from, to, epoch, depth int) (Transport, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -313,6 +286,31 @@ func (x *linkExchange) get(from, to, epoch, depth int) (Transport, error) {
 	}
 	x.links[k] = tr
 	return tr, nil
+}
+
+// stats snapshots every link the exchange created, ordered by epoch
+// and then by (from, to), and sums the values they carried.
+func (x *linkExchange) stats() ([]LinkStats, int64) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	keys := make([][3]int, 0, len(x.links))
+	for k := range x.links {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a[2] != b[2] {
+			return a[2] < b[2]
+		}
+		return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1])
+	})
+	links := make([]LinkStats, len(keys))
+	var values int64
+	for i, k := range keys {
+		links[i] = x.links[k].Stats()
+		values += links[i].Values
+	}
+	return links, values
 }
 
 // wireFor builds machine m's WireFunc over the exchange.
@@ -350,16 +348,18 @@ type EpochPlan struct {
 	Starts []int `json:"starts"`
 }
 
-// RunScripted re-drives a committed epoch schedule in-process: each
-// window's barrier is published the moment its epoch launches, so the
-// deployment quiesces at exactly the recorded phase with no drift
-// monitor, no timing and no coordinator decisions — the replay half of
-// the record/replay contract (DESIGN.md §11). Over the same graph,
-// modules and batches, the run is bit-identical to the live run that
-// recorded the schedule; with cfg.Tap set, the merged deterministic
-// event stream is byte-identical too (the golden round-trip test).
+// RunScripted re-drives a committed epoch schedule: a Coordinator whose
+// planner hands out the script's partitions and whose trigger is the
+// script's barriers, each published on its epoch's controller before
+// any of the epoch's machines runs. The deployment quiesces at exactly
+// the recorded phase with no drift monitor, no timing and no
+// coordinator decisions — the replay half of the record/replay
+// contract (DESIGN.md §11). Over the same graph, modules and batches,
+// the run is bit-identical to the live run that recorded the schedule;
+// with cfg.Tap set, the merged deterministic event stream is
+// byte-identical too (the golden round-trip test). cfg.Machines and
+// cfg.Planner are ignored: the script fixes both.
 func RunScripted(g *graph.Numbered, mods []core.Module, batches [][]core.ExtInput, cfg Config, script []EpochPlan) (Stats, error) {
-	t0 := time.Now()
 	if len(script) == 0 {
 		return Stats{}, fmt.Errorf("distrib: empty replay script")
 	}
@@ -367,67 +367,25 @@ func RunScripted(g *graph.Numbered, mods []core.Module, batches [][]core.ExtInpu
 		return Stats{}, fmt.Errorf("distrib: replay script starts at base %d, want 0", script[0].Base)
 	}
 	total := len(batches)
+	machines := len(script[0].Starts)
 	for i := 1; i < len(script); i++ {
 		if b := script[i].Base; b <= script[i-1].Base || b >= total {
 			return Stats{}, fmt.Errorf("distrib: replay script window %d resumes at phase %d (previous %d, total %d)", i, b, script[i-1].Base, total)
 		}
-	}
-
-	net := cfg.Network
-	if net == nil {
-		net = ChannelNetwork{}
-		defer net.Close()
-	}
-	tapped := newTapNetwork(net, cfg.Tap)
-	epochCfg := cfg
-	epochCfg.Network = tapped
-	lp := &localParticipant{
-		g:       g,
-		mods:    mods,
-		batches: batches,
-		cfg:     epochCfg,
-		net:     tapped,
-		total:   total,
-	}
-	// Each window's barrier must be on the epoch controller BEFORE the
-	// epoch's machines run: publishing after launch (the live path's
-	// pause-then-decide order) would race the heads past the scripted
-	// cut and re-execute the overrun phases in the next window.
-	nextBarrier := func(i int) int {
-		if i+1 < len(script) {
-			return script[i+1].Base
+		if len(script[i].Starts) != machines {
+			return Stats{}, fmt.Errorf("distrib: replay script window %d has %d machines, window 0 has %d", i, len(script[i].Starts), machines)
 		}
-		return 0
 	}
-	if err := lp.start(0, 0, script[0].Starts, nextBarrier(0)); err != nil {
-		return Stats{}, err
+	if cfg.Network == nil {
+		cfg.Network = ChannelNetwork{}
+		defer cfg.Network.Close()
 	}
-	launchEvent(cfg.Tap, 0, 0, 0, script[0].Starts)
-	for i := 1; i < len(script); i++ {
-		barrier := script[i].Base
-		qr, err := lp.AwaitQuiesce()
-		if err != nil {
-			return lp.agg, err
-		}
-		if qr.Barrier != barrier {
-			return lp.agg, fmt.Errorf("distrib: replay quiesced at phase %d, script barrier %d", qr.Barrier, barrier)
-		}
-		if _, err := lp.Offload(barrier, script[i].Starts); err != nil {
-			return lp.agg, err
-		}
-		if err := lp.start(i, barrier, script[i].Starts, nextBarrier(i)); err != nil {
-			return lp.agg, err
-		}
-		launchEvent(cfg.Tap, i, barrier, 0, script[i].Starts)
+	co := &Coordinator{
+		Graph:    g,
+		Machines: machines,
+		Phases:   total,
+		Planner:  &schedulePlanner{script: script},
+		script:   script,
 	}
-	qr, err := lp.AwaitQuiesce()
-	if err != nil {
-		return lp.agg, err
-	}
-	if qr.Barrier != 0 {
-		return lp.agg, fmt.Errorf("distrib: replay quiesced at phase %d past the last scripted window", qr.Barrier)
-	}
-	st := lp.agg
-	st.Wall = time.Since(t0)
-	return st, nil
+	return runFlock(co, RunConfig{Graph: g, Mods: mods, Batches: batches}, cfg, "")
 }

@@ -10,10 +10,11 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
-// The facade with no options is RunStatic: same sink history, same
-// execution counts.
+// The facade with no options is a static run: oracle-identical
+// history, one stats entry per machine.
 func TestRunFacadeStatic(t *testing.T) {
 	const phases = 400
 	batches := make([][]core.ExtInput, phases)
@@ -39,8 +40,8 @@ func TestRunFacadeStatic(t *testing.T) {
 	}
 }
 
-// The facade with WithRebalancing is RunRebalancing: forced switches,
-// oracle-identical history.
+// The facade with WithRebalancing is a coordinated run: forced
+// switches, oracle-identical history.
 func TestRunFacadeRebalancing(t *testing.T) {
 	const phases = 600
 	batches := make([][]core.ExtInput, phases)
@@ -87,9 +88,10 @@ func TestRunFacadeOptionValidation(t *testing.T) {
 }
 
 // A cancelled context stops a coordinated run at the next epoch
-// boundary instead of letting it run to completion.
+// boundary instead of letting it run to completion, and no machine
+// keeps stepping the caller's modules once Run has returned.
 func TestRunFacadeContextCancelsCoordinated(t *testing.T) {
-	ng, mods, _ := buildDurableChain(t)
+	ng, mods, sink := buildDurableChain(t)
 	batches := make([][]core.ExtInput, 600)
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -101,13 +103,18 @@ func TestRunFacadeContextCancelsCoordinated(t *testing.T) {
 		}, WithRebalancing(RebalanceConfig{ForceEvery: 50, MinRemaining: 10, MaxRebalances: 8}))
 		done <- err
 	}()
-	cancel()
+	time.AfterFunc(10*time.Millisecond, cancel)
 	select {
 	case err := <-done:
 		// The run may legitimately complete before the coordinator
 		// observes the cancellation; anything else must be the ctx error.
 		if err != nil && err != context.Canceled {
 			t.Fatalf("got %v, want nil or context.Canceled", err)
+		}
+		n := len(sink.history())
+		time.Sleep(50 * time.Millisecond)
+		if m := len(sink.history()); m != n {
+			t.Errorf("the sink grew from %d to %d entries after Run returned", n, m)
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("cancelled coordinated run never returned")
@@ -240,5 +247,76 @@ func TestRunScriptedMatchesOracle(t *testing.T) {
 	}
 	if got := st.Starts; !reflect.DeepEqual(got, []int{1, 4}) {
 		t.Errorf("final starts %v, want the last window's [1 4]", got)
+	}
+}
+
+// Every run shape reports full Stats: the links it ran over, the
+// values they carried, the cut of the final partition, and — for each
+// switch that shipped state — the bytes it shipped.
+func TestRunStatsCoverEveryShape(t *testing.T) {
+	const phases = 300
+	batches := make([][]core.ExtInput, phases)
+	ngRef, modsRef, sinkRef := buildDurableChain(t)
+	if _, err := baseline.Sequential(ngRef, modsRef, batches); err != nil {
+		t.Fatal(err)
+	}
+	rebalance := WithRebalancing(RebalanceConfig{ForceEvery: 100, MinRemaining: 10, MaxRebalances: 2})
+	shapes := []struct {
+		name string
+		opts func(t *testing.T) []Option
+	}{
+		{"static", func(*testing.T) []Option { return nil }},
+		{"rebalancing", func(*testing.T) []Option { return []Option{rebalance} }},
+		{"rebalancing+wal", func(t *testing.T) []Option { return []Option{rebalance, WithWAL(t.TempDir())} }},
+	}
+	for _, shape := range shapes {
+		for _, transport := range []string{"chan", "tcp"} {
+			t.Run(shape.name+"/"+transport, func(t *testing.T) {
+				ng, mods, sink := buildDurableChain(t)
+				// Vertex 3 (a MovingAverage) moves on every switch, so
+				// each switch ships real window state.
+				cfg := Config{Machines: 2, WorkersPerMachine: 1, MaxInFlight: 8, Buffer: 4,
+					Planner: &scriptPlanner{seq: [][]int{{1, 4}, {1, 3}, {1, 4}}}}
+				if transport == "tcp" {
+					tn, err := NewTCPNetwork()
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer tn.Close()
+					cfg.Network = tn
+				}
+				st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: cfg}, shape.opts(t)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(sink.history(), sinkRef.history()) {
+					t.Error("sink history diverges from the sequential oracle")
+				}
+				if len(st.Links) == 0 {
+					t.Error("no links reported")
+				}
+				if want := graph.CutEdges(ng, st.Starts); st.CrossEdges != want {
+					t.Errorf("CrossEdges %d, want %d for final starts %v", st.CrossEdges, want, st.Starts)
+				}
+				var values int64
+				for _, l := range st.Links {
+					values += l.Values
+				}
+				if st.CrossMessages != values {
+					t.Errorf("CrossMessages %d, links carried %d values", st.CrossMessages, values)
+				}
+				if st.Planner != "script" || st.Transport == "" {
+					t.Errorf("stats name planner %q and transport %q", st.Planner, st.Transport)
+				}
+				if shape.name != "static" && len(st.Rebalances) == 0 {
+					t.Error("forced rebalancing recorded no switches")
+				}
+				for _, ev := range st.Rebalances {
+					if ev.Serialized > 0 && ev.HandoffBytes == 0 {
+						t.Errorf("switch at %d serialized %d vertices with 0 handoff bytes", ev.Barrier, ev.Serialized)
+					}
+				}
+			})
+		}
 	}
 }

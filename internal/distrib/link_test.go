@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -218,9 +219,9 @@ func TestPartitionedRaceStress(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	st, err := RunStatic(ng, mods, make([][]core.ExtInput, phases), Config{
+	st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: make([][]core.ExtInput, phases), Dist: Config{
 		Machines: 8, WorkersPerMachine: 2, MaxInFlight: 4, Buffer: 1,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

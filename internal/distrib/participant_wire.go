@@ -20,7 +20,7 @@ type wireMsg struct {
 }
 
 // RemoteParticipant is the coordinator's Participant binding for a
-// worker process reached over a CtlChannel: every interface call maps
+// worker reached over a CtlChannel: every interface call maps
 // to one control-frame exchange of the DESIGN.md §9 protocol, with
 // per-reply epoch validation (a reply tagged with another epoch is
 // rejected as stale, never applied) and a bounded ack timeout so a
@@ -189,7 +189,7 @@ func (rp *RemoteParticipant) read() {
 			select {
 			case rp.inbox <- f:
 			default:
-				rp.fail(fmt.Errorf("distrib: participant %s: unsolicited frame kind %d", rp.Name, f.Kind))
+				rp.fail(fmt.Errorf("distrib: participant %s: unsolicited %s frame", rp.Name, netwire.KindName(f.Kind)))
 				return
 			}
 		}
@@ -212,7 +212,7 @@ func (rp *RemoteParticipant) recvReply(kind uint8, epoch int) (netwire.WireFrame
 	select {
 	case f := <-rp.inbox:
 		if f.Kind != kind {
-			err := fmt.Errorf("distrib: participant %s: reply kind %d, want %d", rp.Name, f.Kind, kind)
+			err := fmt.Errorf("distrib: participant %s: reply %s, want %s", rp.Name, netwire.KindName(f.Kind), netwire.KindName(kind))
 			rp.fail(err)
 			return netwire.WireFrame{}, err
 		}
@@ -225,38 +225,32 @@ func (rp *RemoteParticipant) recvReply(kind uint8, epoch int) (netwire.WireFrame
 	case <-rp.dead:
 		return netwire.WireFrame{}, rp.failErr()
 	case <-timer.C:
-		err := fmt.Errorf("distrib: participant %s: no ack for frame kind %d within %v", rp.Name, kind, rp.ackTimeout())
+		err := fmt.Errorf("distrib: participant %s: no ack for %s within %v", rp.Name, netwire.KindName(kind), rp.ackTimeout())
 		rp.fail(err)
 		return netwire.WireFrame{}, err
 	}
 }
 
+// send delivers one control frame. When the channel is gone, the
+// reader names the terminal error: a worker that failed queued its
+// abort, carrying the root cause, ahead of the close, and reporting
+// the bare "channel closed" instead would lose it.
 func (rp *RemoteParticipant) send(f netwire.WireFrame) error {
 	if err := rp.ch.Send(f); err != nil {
-		err = fmt.Errorf("%w: participant %s: %v", ErrPeerLost, rp.Name, err)
-		rp.fail(err)
-		return err
+		rp.ch.Close()
+		<-rp.dead
+		return rp.failErr()
 	}
 	return nil
 }
 
-// Begin implements Participant: the epoch-0 plan followed by the empty
-// state delivery that releases the worker into its run.
-func (rp *RemoteParticipant) Begin(starts []int) error {
-	return rp.BeginAt(0, 0, starts)
-}
-
 // BeginAt implements Participant: a plan frame positioned at an
-// explicit epoch and base, followed by the empty state delivery that
-// releases the worker into its run. The participant's per-epoch
-// signals (done, epoch failure) reset with it.
-func (rp *RemoteParticipant) BeginAt(epoch, base int, starts []int) error {
+// explicit epoch and base, then the launch settings, then the empty
+// state delivery that releases the worker into its run. The
+// participant's per-epoch signals (done, epoch failure) reset with it.
+func (rp *RemoteParticipant) BeginAt(epoch, base int, starts []int, barrier, hold int) error {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	rp.epoch = epoch
-	rp.doneMu.Lock()
-	rp.doneCh = make(chan struct{})
-	rp.doneMu.Unlock()
 	rp.failMu.Lock()
 	rp.epochFail = make(chan struct{})
 	rp.failMsg = ""
@@ -264,7 +258,30 @@ func (rp *RemoteParticipant) BeginAt(epoch, base int, starts []int) error {
 	if err := rp.send(netwire.WireFrame{Kind: netwire.FramePlan, Epoch: epoch, Phase: base, Starts: starts}); err != nil {
 		return err
 	}
-	return rp.send(netwire.WireFrame{Kind: netwire.FrameSnapshot, Epoch: epoch, Phase: base})
+	return rp.launch(epoch, base, barrier, hold, nil)
+}
+
+// launch starts the announced epoch: the launch settings — a barrier
+// frame and a wait frame, each sent only when nonzero — which the
+// worker applies before any machine runs, then the state delivery that
+// releases it. Caller holds mu.
+func (rp *RemoteParticipant) launch(epoch, base, barrier, hold int, arriving []core.VertexSnapshot) error {
+	rp.epoch = epoch
+	rp.doneMu.Lock()
+	rp.doneCh = make(chan struct{}) // fresh epoch, fresh completion signal
+	rp.doneMu.Unlock()
+	for _, f := range []netwire.WireFrame{
+		{Kind: netwire.FrameBarrier, Epoch: epoch, Phase: barrier},
+		{Kind: netwire.FrameWait, Epoch: epoch, Phase: hold},
+	} {
+		if f.Phase == 0 {
+			continue
+		}
+		if err := rp.send(f); err != nil {
+			return err
+		}
+	}
+	return rp.send(netwire.WireFrame{Kind: netwire.FrameSnapshot, Epoch: epoch, Phase: base, Snaps: arriving})
 }
 
 // WaitStarted implements Participant: the blocking wait runs on the
@@ -377,14 +394,10 @@ func (rp *RemoteParticipant) Offload(barrier int, newStarts []int) (Handoff, err
 
 // Advance implements Participant: arriving state goes out and the
 // worker rebuilds, rewires and runs the next epoch.
-func (rp *RemoteParticipant) Advance(arriving []core.VertexSnapshot) error {
+func (rp *RemoteParticipant) Advance(arriving []core.VertexSnapshot, barrier, hold int) error {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	rp.epoch++
-	rp.doneMu.Lock()
-	rp.doneCh = make(chan struct{}) // fresh epoch, fresh completion signal
-	rp.doneMu.Unlock()
-	return rp.send(netwire.WireFrame{Kind: netwire.FrameSnapshot, Epoch: rp.epoch, Phase: rp.pendingBase, Snaps: arriving})
+	return rp.launch(rp.epoch+1, rp.pendingBase, barrier, hold, arriving)
 }
 
 // Finish implements Participant. After the release frame it waits
@@ -491,11 +504,7 @@ func (rp *RemoteParticipant) Abort(reason error) {
 	})
 }
 
-// interface conformance
-var (
-	_ Participant = (*localParticipant)(nil)
-	_ Participant = (*RemoteParticipant)(nil)
-)
+var _ Participant = (*RemoteParticipant)(nil)
 
 // WireFunc wires one epoch's data links for a worker machine:
 // exactly one inbound transport per Upstream entry and one outbound
@@ -506,10 +515,10 @@ var (
 // implementation).
 type WireFunc func(d *Deployment, epoch int) (in, out map[int]Transport, err error)
 
-// WorkerConfig configures one process's side of a coordinated
-// multi-process rebalancing run: which machine it owns, the shared
-// workload every process builds identically, and how to wire each
-// epoch's data links.
+// WorkerConfig configures one machine's worker in a coordinated run —
+// a fuseworker process, or one of the Run facade's in-process workers:
+// which machine it owns, the shared workload every worker builds
+// identically, and how to wire each epoch's data links.
 type WorkerConfig struct {
 	// Machine is this worker's machine index.
 	Machine int
@@ -536,15 +545,25 @@ type WorkerConfig struct {
 	// hello carrying its newest WAL checkpoint — the restarted-process
 	// path. Requires WAL.
 	Rejoin bool
+
+	// sharedMods marks a worker whose Mods slice every other worker of
+	// the run shares — the Run facade's in-process workers. A vertex
+	// without core.Snapshotter then migrates by reference: the module
+	// object is already where its new owner will step it.
+	sharedMods bool
 }
 
 // workerEpoch is one epoch's live state on the worker side.
 type workerEpoch struct {
 	epoch, base int
 	starts      []int
-	d           *Deployment
-	ctl         *epochCtl
-	done        bool
+	// barrier and hold are the launch settings delivered between the
+	// epoch's plan and its state delivery (0 = none); both are on the
+	// epoch controller before any machine runs.
+	barrier, hold int
+	d             *Deployment
+	ctl           *epochCtl
+	done          bool
 }
 
 // runResult carries one epoch run's outcome from the machine goroutine
@@ -569,8 +588,8 @@ type ParticipantReport struct {
 
 // ServeParticipant runs one worker's side of the control-plane
 // protocol to completion: it receives plans and arriving state from
-// the coordinator, builds and runs its machine for each epoch, parks
-// its head machines on pause, publishes barriers, ships quiesce
+// the coordinator, builds and runs its machine for each epoch, stops
+// its head machine on pause, publishes barriers, ships quiesce
 // reports and leaving state, and returns its accumulated engine stats
 // and final partition when the coordinator finishes the run. Any
 // protocol violation, machine failure or channel death aborts with the
@@ -640,6 +659,16 @@ func ServeParticipant(ch CtlChannel, wc WorkerConfig) (ParticipantReport, error)
 	resumeEpoch := -1
 	resetRequested := false
 	runDone := make(chan runResult, 1)
+	// However the worker returns, none of its machines keeps running: a
+	// live epoch's head quiesces at the phase it has reached, the
+	// barrier floods downstream, and the worker waits for the machine
+	// to drain, so its caller may read the modules once it returns.
+	defer func() {
+		if cur != nil && !cur.done {
+			cur.ctl.publish(max(cur.ctl.pause(), cur.base+1))
+			<-runDone
+		}
+	}()
 	for {
 		select {
 		case r := <-runDone:
@@ -691,8 +720,12 @@ func ServeParticipant(ch CtlChannel, wc WorkerConfig) (ParticipantReport, error)
 			f := m.f
 			switch f.Kind {
 			case netwire.FrameWait:
+				if pending != nil && f.Epoch == pending.epoch {
+					pending.hold = f.Phase // a launch setting, like the barrier below
+					continue
+				}
 				if cur == nil || f.Epoch != cur.epoch {
-					return abort(fmt.Errorf("distrib: machine %d: stale-epoch control frame: kind %d epoch %d, running epoch %d", wc.Machine, f.Kind, f.Epoch, epochOf(cur)))
+					return abort(fmt.Errorf("distrib: machine %d: stale-epoch control frame: %s epoch %d, running epoch %d", wc.Machine, netwire.KindName(f.Kind), f.Epoch, epochOf(cur)))
 				}
 				// The blocking wait runs off the serve loop so polls and
 				// pauses stay responsive; the announcement is pushed the
@@ -703,29 +736,33 @@ func ServeParticipant(ch CtlChannel, wc WorkerConfig) (ParticipantReport, error)
 				// total, declining the switch) releases them.
 				go func(we *workerEpoch, target int) {
 					reached := we.ctl.waitStartedHold(target)
-					started, _ := we.ctl.progress()
 					ch.Send(netwire.WireFrame{
-						Kind: netwire.FrameStarted, Epoch: we.epoch, Phase: started, Done: !reached,
+						Kind: netwire.FrameStarted, Epoch: we.epoch, Phase: we.ctl.progress(), Done: !reached,
 					})
 				}(cur, f.Phase)
 
 			case netwire.FramePoll, netwire.FramePause, netwire.FrameBarrier:
+				if f.Kind == netwire.FrameBarrier && pending != nil && f.Epoch == pending.epoch {
+					// A launch barrier: it arrives between the plan and the
+					// state delivery, and is on the epoch controller before
+					// any of the epoch's machines runs.
+					pending.barrier = f.Phase
+					continue
+				}
 				if cur == nil || f.Epoch != cur.epoch {
-					return abort(fmt.Errorf("distrib: machine %d: stale-epoch control frame: kind %d epoch %d, running epoch %d", wc.Machine, f.Kind, f.Epoch, epochOf(cur)))
+					return abort(fmt.Errorf("distrib: machine %d: stale-epoch control frame: %s epoch %d, running epoch %d", wc.Machine, netwire.KindName(f.Kind), f.Epoch, epochOf(cur)))
 				}
 				switch f.Kind {
 				case netwire.FramePoll:
-					started, _ := cur.ctl.progress()
 					if err := ch.Send(netwire.WireFrame{
-						Kind: netwire.FrameProgress, Epoch: cur.epoch, Phase: started, Done: cur.done,
+						Kind: netwire.FrameProgress, Epoch: cur.epoch, Phase: cur.ctl.progress(), Done: cur.done,
 						Times: nanos(cur.d.globalVertexTimes(n)),
 					}); err != nil {
 						return rep, err
 					}
 				case netwire.FramePause:
-					started, _ := cur.ctl.pause()
 					if err := ch.Send(netwire.WireFrame{
-						Kind: netwire.FrameProgress, Epoch: cur.epoch, Phase: started, Done: cur.done,
+						Kind: netwire.FrameProgress, Epoch: cur.epoch, Phase: cur.ctl.pause(), Done: cur.done,
 					}); err != nil {
 						return rep, err
 					}
@@ -756,7 +793,7 @@ func ServeParticipant(ch CtlChannel, wc WorkerConfig) (ParticipantReport, error)
 				if cur != nil {
 					// An epoch switch: ship the state of every vertex
 					// leaving this machine under the new plan.
-					leaving, err := leavingSnaps(wc.Mods, wc.Machine, cur.starts, f.Starts, cache)
+					leaving, err := leavingSnaps(wc.Mods, wc.Machine, cur.starts, f.Starts, cache, wc.sharedMods)
 					if err != nil {
 						return abort(err)
 					}
@@ -798,7 +835,11 @@ func ServeParticipant(ch CtlChannel, wc WorkerConfig) (ParticipantReport, error)
 				if err != nil {
 					return abort(fmt.Errorf("distrib: machine %d: building epoch %d: %w", wc.Machine, pending.epoch, err))
 				}
-				ctl := newEpochCtl(pending.epoch, pending.base, total, machineHeads(d, wc.Machine))
+				ctl := newEpochCtl(pending.base, len(d.machines[wc.Machine].upstream) == 0)
+				ctl.hold = pending.hold
+				if pending.barrier != 0 {
+					ctl.publish(pending.barrier)
+				}
 				d.machines[wc.Machine].ctl = ctl
 				if wc.WAL != nil {
 					// The durability point: the epoch's plan and this
@@ -900,7 +941,7 @@ func ServeParticipant(ch CtlChannel, wc WorkerConfig) (ParticipantReport, error)
 				return rep, fmt.Errorf("distrib: machine %d: coordinator aborted: %s", wc.Machine, f.Msg)
 
 			default:
-				return abort(fmt.Errorf("distrib: machine %d: unexpected control frame kind %d", wc.Machine, f.Kind))
+				return abort(fmt.Errorf("distrib: machine %d: unexpected control frame %s", wc.Machine, netwire.KindName(f.Kind)))
 			}
 		}
 	}
@@ -914,42 +955,31 @@ func epochOf(w *workerEpoch) int {
 	return w.epoch
 }
 
-// machineHeads returns the epoch controller's head list for one
-// machine of a deployment: the machine itself when it has no upstream
-// links, empty otherwise.
-func machineHeads(d *Deployment, m int) []int {
-	if len(d.machines[m].upstream) == 0 {
-		return []int{m}
-	}
-	return nil
-}
-
 // leavingSnaps serializes the state of every vertex owned by machine m
 // under oldStarts but not under newStarts. Crossing a process boundary
 // requires core.Snapshotter — a migrating module without it fails the
-// switch with the vertex named, rather than silently dropping state.
+// switch with the vertex named, rather than silently dropping state —
+// unless shared says every worker holds the same module objects, in
+// which case such a vertex moves by reference and ships nothing.
 // Modules implementing core.DeltaSnapshotter ship deltas against the
 // base cached from their previous handoff with the destination machine
 // (snapdelta.go); the full state is cached as the new converged base
 // either way.
-func leavingSnaps(mods []core.Module, m int, oldStarts, newStarts []int, cache *snapCache) ([]core.VertexSnapshot, error) {
+func leavingSnaps(mods []core.Module, m int, oldStarts, newStarts []int, cache *snapCache, shared bool) ([]core.VertexSnapshot, error) {
 	var snaps []core.VertexSnapshot
 	for v := 1; v <= len(mods); v++ {
 		if graph.PartitionOf(oldStarts, v) != m || graph.PartitionOf(newStarts, v) == m {
 			continue
 		}
 		if _, ok := mods[v-1].(core.Snapshotter); !ok {
+			if shared {
+				continue
+			}
 			return nil, fmt.Errorf("distrib: machine %d: vertex %d (%T) does not implement core.Snapshotter and cannot migrate between processes", m, v, mods[v-1])
 		}
-		to := graph.PartitionOf(newStarts, v)
-		snap, full, err := encodeSnap(mods[v-1], v, to, cache)
+		snap, err := encodeSnap(mods[v-1], v, graph.PartitionOf(newStarts, v), cache)
 		if err != nil {
 			return nil, fmt.Errorf("distrib: machine %d: %w", m, err)
-		}
-		if full != nil {
-			// Separate processes: this end's cache can advance as soon
-			// as the snapshot is built — only the receiver applies it.
-			cache.store(v, to, full)
 		}
 		snaps = append(snaps, snap)
 	}

@@ -1,13 +1,9 @@
 package distrib
 
 import (
-	"context"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -79,12 +75,13 @@ type RebalanceEvent struct {
 	FromStarts, ToStarts []int
 	// Moved counts the vertices that changed machines.
 	Moved int
-	// Serialized counts the moved vertices whose state crossed through
-	// a Snapshotter round-trip (the rest moved by reference, which only
-	// an in-process deployment can do).
+	// Serialized counts the moved vertices whose state was shipped as a
+	// Snapshotter snapshot. The rest moved by reference, which only the
+	// Run facade's in-process workers can do: they share one module
+	// slice.
 	Serialized int
-	// HandoffBytes is the encoded snapshot volume wire transports
-	// carried (0 for in-process channel links).
+	// HandoffBytes is the snapshot state the switch shipped — full
+	// snapshots and deltas alike — whatever carries the control plane.
 	HandoffBytes int64
 	// Skew is the measured bottleneck/mean stage-cost ratio that
 	// triggered the switch (0 when ForceEvery triggered it).
@@ -94,25 +91,26 @@ type RebalanceEvent struct {
 	Wall time.Duration
 }
 
-// epochCtl coordinates one epoch's quiesce. Head machines (no upstream
-// links) consult it before opening each phase; the drift monitor asks
-// it to choose a barrier. The chosen barrier is the maximum phase any
-// head has already committed to, so no machine ever has to un-start
-// work: heads run up to the barrier and stop, and every downstream
-// machine drains to the same phase behind the barrier frames the heads'
-// egress floods.
+// epochCtl is one machine's side of an epoch's quiesce. A head machine
+// (no upstream links) consults it before opening each phase; the
+// coordinator pauses every machine's controller for a progress
+// snapshot and publishes the barrier — the newest phase any head of the
+// flock has committed to — so no machine ever has to un-start work:
+// heads run up to the barrier and stop, and every downstream machine
+// drains to the same phase behind the barrier frames the heads' egress
+// floods. A controller whose machine is not a head reports the epoch
+// base, finished.
 type epochCtl struct {
-	epoch int
-	base  int
-	total int
-	heads []int
-
-	mu          sync.Mutex
-	cond        sync.Cond
-	pausing     bool
-	barrier     int // 0 = not yet decided
-	lastStarted map[int]int
-	finished    map[int]bool
+	mu       sync.Mutex
+	cond     sync.Cond
+	pausing  bool
+	barrier  int // 0 = not yet decided
+	started  int // newest phase the head opened; base until then
+	finished bool
+	// hold, when nonzero, pauses the head before it opens any phase past
+	// hold while no barrier is decided: the ForceEvery trigger, armed at
+	// launch so it cannot race a fast epoch. Set before the machine runs.
+	hold int
 }
 
 // headGateHook, when set, runs on every machine's ingress just before
@@ -120,37 +118,28 @@ type epochCtl struct {
 // production leaves it nil.
 var headGateHook func(machine, p int)
 
-func newEpochCtl(epoch, base, total int, heads []int) *epochCtl {
-	c := &epochCtl{
-		epoch:       epoch,
-		base:        base,
-		total:       total,
-		heads:       heads,
-		lastStarted: make(map[int]int, len(heads)),
-		finished:    make(map[int]bool, len(heads)),
-	}
+func newEpochCtl(base int, head bool) *epochCtl {
+	c := &epochCtl{started: base, finished: !head}
 	c.cond.L = &c.mu
 	return c
 }
 
-// headProceed reports whether head machine m may open phase p. While a
+// headProceed reports whether the head may open phase p. While a
 // barrier decision is pending the call parks until the decision lands;
 // once a barrier is set, phases past it are refused — the head's
 // quiesce signal.
-func (c *epochCtl) headProceed(m, p int) bool {
+func (c *epochCtl) headProceed(p int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.barrier == 0 && c.hold != 0 && p > c.hold {
+		c.pausing = true
+	}
 	for {
-		if c.barrier != 0 {
-			if p > c.barrier {
-				return false
-			}
-			c.lastStarted[m] = p
-			c.cond.Broadcast()
-			return true
+		if c.barrier != 0 && p > c.barrier {
+			return false
 		}
-		if !c.pausing {
-			c.lastStarted[m] = p
+		if c.barrier != 0 || !c.pausing {
+			c.started = p
 			c.cond.Broadcast()
 			return true
 		}
@@ -158,83 +147,69 @@ func (c *epochCtl) headProceed(m, p int) bool {
 	}
 }
 
-// waitStartedHold blocks until some head machine has opened phase
-// target (reporting true) or every head has finished without reaching
-// it (false) — the deterministic wake-up behind ForceEvery. The moment
-// the target is reached (and no barrier has been decided yet) it flips
-// the controller into pausing, so the heads park at
-// their very next phase start instead of racing ahead while the
-// coordinator's trigger decision is in flight. Without the hold, a
-// fast run can finish — or blow far past the target — between the
-// wake-up here and the coordinator's Pause round, which is exactly the
-// multi-core flake where a forced switch finds nothing left to cut.
-// The coordinator must follow up with a barrier (SetBarrier, possibly
-// at total to decline the switch) to release the parked heads.
+// waitStartedHold blocks until the head has opened phase target
+// (reporting true) or finished without reaching it (false) — the
+// deterministic wake-up behind ForceEvery. The moment the target is
+// reached (and no barrier has been decided yet) it flips the
+// controller into pausing, so the head parks at its very next phase
+// start instead of racing ahead while the coordinator's trigger
+// decision is in flight. The launch hold already parks the head there
+// when the wait was armed at launch, as the Coordinator arms it: a
+// wait that arrives after launch can find a fast epoch finished, or
+// too near its end to switch. The coordinator must follow up with a
+// barrier (SetBarrier, possibly at total to decline the switch) to
+// release the parked head.
 func (c *epochCtl) waitStartedHold(target int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		p := c.base
-		done := true
-		for _, m := range c.heads {
-			if c.lastStarted[m] > p {
-				p = c.lastStarted[m]
-			}
-			if !c.finished[m] {
-				done = false
-			}
-		}
 		if c.barrier != 0 {
 			// A barrier already landed: the decision is made, nothing
 			// to hold. Report whether the target was reached first.
-			return p >= target
+			return c.started >= target
 		}
-		if p >= target {
+		if c.started >= target {
 			c.pausing = true
-			c.cond.Broadcast()
 			return true
 		}
-		if done {
+		if c.finished {
 			return false
 		}
 		c.cond.Wait()
 	}
 }
 
-// headFinished marks head machine m done opening phases (it ran out of
-// phases or quiesced), so a pending barrier decision stops waiting on
-// it.
-func (c *epochCtl) headFinished(m int) {
+// headFinished marks the head done opening phases (it ran out of
+// phases or quiesced), so a pending wait stops waiting on it.
+func (c *epochCtl) headFinished() {
 	c.mu.Lock()
-	c.finished[m] = true
+	c.finished = true
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
-// pause returns a consistent progress snapshot: the newest phase any
-// head machine had opened (base if none) plus whether every head
-// already finished. From the moment pausing is set under mu no head
-// passes its gate, so lastStarted is frozen and a barrier at the
-// returned phase (or later) never asks a head to un-start work. A head
-// that passed its gate before the pause may still be opening that
-// phase — blocked on ship tokens behind a slower head, say — so pause
-// must not wait for heads to reach the gate: that wait is the
-// multi-head deadlock. Heads that reach the gate park there until
-// publish; the barrier decision itself belongs to the coordinator,
-// which aggregates the snapshots of every participant. Pausing after
-// a barrier was already published reports the settled state.
-func (c *epochCtl) pause() (started int, done bool) {
+// pause returns a consistent progress snapshot: the newest phase the
+// head had opened (base if none). From the moment pausing is set under
+// mu the head passes no gate, so the snapshot is frozen and a barrier
+// at the returned phase (or later) never asks a head to un-start work.
+// A head that passed its gate before the pause may still be opening
+// that phase — blocked on ship tokens behind a slower head on another
+// machine, say — so pause must not wait for it to reach the gate: that
+// wait is the multi-head deadlock. A head that reaches the gate parks
+// there until publish; the barrier decision itself belongs to the
+// coordinator, which aggregates every machine's snapshot. Pausing
+// after a barrier was already published reports the settled state.
+func (c *epochCtl) pause() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.barrier == 0 {
 		c.pausing = true
 	}
-	return c.progressLocked()
+	return c.started
 }
 
-// publish sets the epoch barrier and resumes the parked heads: they
-// run through phase b and quiesce. Idempotent — the first barrier
-// wins.
+// publish sets the epoch barrier and resumes a parked head: it runs
+// through phase b and quiesces. Idempotent — the first barrier wins.
 func (c *epochCtl) publish(b int) {
 	c.mu.Lock()
 	if c.barrier == 0 {
@@ -245,53 +220,11 @@ func (c *epochCtl) publish(b int) {
 	c.mu.Unlock()
 }
 
-// progress returns the newest phase any head machine has opened and
-// whether every head finished.
-func (c *epochCtl) progress() (started int, done bool) {
+// progress returns the newest phase the head has opened.
+func (c *epochCtl) progress() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.progressLocked()
-}
-
-func (c *epochCtl) progressLocked() (started int, done bool) {
-	started = c.base
-	done = true
-	for _, m := range c.heads {
-		if c.lastStarted[m] > started {
-			started = c.lastStarted[m]
-		}
-		if !c.finished[m] {
-			done = false
-		}
-	}
-	return started, done
-}
-
-// decided returns the published barrier, 0 if none was requested.
-func (c *epochCtl) decided() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.barrier
-}
-
-// headMachines lists the deployment's machines with no inbound links —
-// the machines that pace phase starts and therefore anchor a barrier.
-func (d *Deployment) headMachines() []int {
-	var heads []int
-	for m, mc := range d.machines {
-		if len(mc.upstream) == 0 {
-			heads = append(heads, m)
-		}
-	}
-	return heads
-}
-
-// attachCtl couples every machine of the deployment to an epoch
-// controller.
-func (d *Deployment) attachCtl(ctl *epochCtl) {
-	for _, mc := range d.machines {
-		mc.ctl = ctl
-	}
+	return c.started
 }
 
 // globalVertexTimes maps each machine engine's measured per-vertex
@@ -336,163 +269,14 @@ func skewFromTimes(times []time.Duration, starts []int) (float64, time.Duration)
 	return float64(max) / mean, total
 }
 
-// migration is one vertex's move between machines at an epoch switch.
-type migration struct {
-	vertex   int
-	from, to int
-}
-
-// planMigrations lists the vertices whose owning machine changes
-// between two partitions, in ascending vertex order.
-func planMigrations(n int, oldStarts, newStarts []int) []migration {
-	var moves []migration
+// movedVertices counts the vertices whose owning machine changes
+// between two partitions.
+func movedVertices(n int, oldStarts, newStarts []int) int {
+	moved := 0
 	for v := 1; v <= n; v++ {
-		from := graph.PartitionOf(oldStarts, v)
-		to := graph.PartitionOf(newStarts, v)
-		if from != to {
-			moves = append(moves, migration{vertex: v, from: from, to: to})
+		if graph.PartitionOf(oldStarts, v) != graph.PartitionOf(newStarts, v) {
+			moved++
 		}
 	}
-	return moves
-}
-
-// handoffState moves the migrating vertices' module state to their new
-// machines through the Network: for every (from, to) machine pair with
-// migrations, a dedicated handoff link carries one snapshot frame.
-// Modules implementing core.Snapshotter are serialized and restored on
-// arrival — over a wire transport the bytes genuinely cross the codec
-// — while plain modules move by reference (possible only because the
-// deployment is in-process; the returned serialized count tells the
-// caller how much of the state took the wire-safe path). Modules
-// implementing core.DeltaSnapshotter ship deltas against the cached
-// base of their previous handoff when cache is non-nil (see
-// snapdelta.go). The barrier phase and closing epoch tag every frame
-// so a stale or misrouted handoff is rejected, not silently applied.
-func handoffState(mods []core.Module, moves []migration, net Network, depth, epoch, barrier int, cache *snapCache) (serialized int, bytes int64, err error) {
-	pairs := make(map[[2]int][]int)
-	for _, mv := range moves {
-		k := [2]int{mv.from, mv.to}
-		pairs[k] = append(pairs[k], mv.vertex)
-	}
-	order := make([][2]int, 0, len(pairs))
-	for k := range pairs {
-		order = append(order, k)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return order[i][0] < order[j][0] || (order[i][0] == order[j][0] && order[i][1] < order[j][1])
-	})
-	for _, k := range order {
-		var snaps []core.VertexSnapshot
-		for _, v := range pairs[k] {
-			if _, ok := mods[v-1].(core.Snapshotter); !ok {
-				continue // moves by reference
-			}
-			// In-process both ends share one cache, so the peer tag is
-			// peerLocal and the cache is updated only by applySnap
-			// below — after the delta built against the old base has
-			// been applied.
-			snap, _, err := encodeSnap(mods[v-1], v, peerLocal, cache)
-			if err != nil {
-				return serialized, bytes, fmt.Errorf("distrib: snapshotting vertex %d for handoff %d->%d: %w", v, k[0], k[1], err)
-			}
-			snaps = append(snaps, snap)
-		}
-		if len(snaps) == 0 {
-			continue
-		}
-		tr, err := net.Link(k[0], k[1], depth)
-		if err != nil {
-			return serialized, bytes, fmt.Errorf("distrib: wiring handoff link %d->%d: %w", k[0], k[1], err)
-		}
-		sendErr := tr.Send(Frame{Kind: FrameSnapshot, Epoch: epoch, Phase: barrier, Snaps: snaps})
-		if sendErr != nil {
-			tr.Close()
-			return serialized, bytes, fmt.Errorf("distrib: handoff %d->%d at barrier %d: %w", k[0], k[1], barrier, sendErr)
-		}
-		f, recvErr := tr.Recv()
-		if recvErr == nil {
-			switch {
-			case f.Kind != FrameSnapshot:
-				recvErr = fmt.Errorf("frame kind %d", f.Kind)
-			case f.Epoch != epoch:
-				recvErr = fmt.Errorf("stale epoch %d (want %d)", f.Epoch, epoch)
-			case f.Phase != barrier:
-				recvErr = fmt.Errorf("barrier %d (want %d)", f.Phase, barrier)
-			case len(f.Snaps) != len(snaps):
-				recvErr = fmt.Errorf("%d snapshots (sent %d)", len(f.Snaps), len(snaps))
-			}
-		}
-		if recvErr != nil {
-			tr.Close()
-			return serialized, bytes, fmt.Errorf("distrib: handoff %d->%d at barrier %d: receiving state: %w", k[0], k[1], barrier, recvErr)
-		}
-		for i, snap := range f.Snaps {
-			if snap.Vertex != snaps[i].Vertex {
-				tr.Close()
-				return serialized, bytes, fmt.Errorf("distrib: handoff %d->%d: snapshot %d is vertex %d, want %d", k[0], k[1], i, snap.Vertex, snaps[i].Vertex)
-			}
-			if err := applySnap(mods[snap.Vertex-1], snap, peerLocal, cache); err != nil {
-				tr.Close()
-				return serialized, bytes, fmt.Errorf("distrib: restoring vertex %d after handoff %d->%d: %w", snap.Vertex, k[0], k[1], err)
-			}
-			serialized++
-		}
-		tr.Close()
-		bytes += tr.Stats().Bytes
-	}
-	return serialized, bytes, nil
-}
-
-// RunRebalancing executes the computation like Run, but re-plans the
-// partition mid-run when measured per-vertex cost drifts away from the
-// estimate the current boundaries were cut for — the ROADMAP's dynamic
-// repartitioning. The epoch-switch state machine lives in Coordinator
-// (DESIGN.md §9); here it drives a single in-process participant that
-// holds every machine: the drift monitor watches measured per-vertex
-// Step times, quiesces the deployment at an epoch barrier (a control
-// frame flooded over the links), hands migrating vertices' state to
-// their new machines (serialized through the transport for modules
-// implementing core.Snapshotter), rebuilds the deployment on the new
-// plan with fresh links and ship-token windows, and resumes at the
-// next phase. The same Coordinator drives fuseworker processes through
-// netwire control channels — see ServeParticipant.
-//
-// The run is bit-identical to RunStatic over the same graph, modules
-// and batches, whatever barriers land where — the equivalence tests
-// pin exactly that, over channel and TCP transports. Stats.Rebalances
-// records every switch.
-//
-// Deprecated: RunRebalancing is the legacy rebalancing entry point.
-// New code should call Run with WithRebalancing.
-func RunRebalancing(g *graph.Numbered, mods []core.Module, batches [][]core.ExtInput, cfg Config, rcfg RebalanceConfig) (Stats, error) {
-	return Run(context.Background(), RunConfig{Graph: g, Mods: mods, Batches: batches, Dist: cfg}, WithRebalancing(rcfg))
-}
-
-// mergeStats folds one epoch's stats into the aggregate: per-machine
-// counters add (machine m of every epoch occupies slot m — its vertex
-// set may differ between epochs), links append, and the plan-shaped
-// fields (Starts, CrossEdges, Planner, Transport) reflect the newest
-// epoch.
-func mergeStats(agg *Stats, st Stats) {
-	if agg.PerMachine == nil {
-		agg.PerMachine = make([]core.Stats, len(st.PerMachine))
-	}
-	for m := range st.PerMachine {
-		a, b := &agg.PerMachine[m], st.PerMachine[m]
-		a.Executions += b.Executions
-		a.Messages += b.Messages
-		a.PhasesCompleted += b.PhasesCompleted
-		a.LockWait += b.LockWait
-		a.LockAcquisitions += b.LockAcquisitions
-		a.ExecTime += b.ExecTime
-		if b.MaxQueueLen > a.MaxQueueLen {
-			a.MaxQueueLen = b.MaxQueueLen
-		}
-	}
-	agg.Links = append(agg.Links, st.Links...)
-	agg.CrossMessages += st.CrossMessages
-	agg.CrossEdges = st.CrossEdges
-	agg.Starts = st.Starts
-	agg.Planner = st.Planner
-	agg.Transport = st.Transport
+	return moved
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/graph"
+	"repro/internal/netwire"
 )
 
 // snapMod is a stateful interior module implementing core.Snapshotter:
@@ -124,11 +125,11 @@ func TestRebalanceEquivalence(t *testing.T) {
 						defer tn.Close()
 						cfg.Network = tn
 					}
-					st, err := RunRebalancing(ng, mods, batches, cfg, RebalanceConfig{
+					st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: cfg}, WithRebalancing(RebalanceConfig{
 						ForceEvery:    11,
 						MinRemaining:  5,
 						MaxRebalances: 4,
-					})
+					}))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -211,16 +212,16 @@ func TestRebalanceDriftTriggers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ng, mods, rs := mk()
-	st, err := RunRebalancing(ng, mods, batches, Config{
+	st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: Config{
 		Machines: 2, WorkersPerMachine: 1, MaxInFlight: 4, Buffer: 2,
-	}, RebalanceConfig{
+	}}, WithRebalancing(RebalanceConfig{
 		SkewThreshold:  1.3,
 		CheckEvery:     500 * time.Microsecond,
 		MinEpochPhases: 4,
 		MinRemaining:   4,
 		MinSignal:      200 * time.Microsecond,
 		MaxRebalances:  2,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +265,10 @@ func TestRebalanceFaultyTransport(t *testing.T) {
 		ng, mods, sinks := buildSnapWorkload(t, seed)
 		net := NewFaultyNetwork(nil, FaultPlan{Seed: 99, MaxDelay: 200 * time.Microsecond, ReorderWindow: 3})
 		defer net.Close()
-		st, err := RunRebalancing(ng, mods, batches, Config{
+		st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: Config{
 			Machines: 3, WorkersPerMachine: 2, MaxInFlight: 8, Buffer: 4,
 			Network: net,
-		}, RebalanceConfig{ForceEvery: 14, MinRemaining: 5, MaxRebalances: 3})
+		}}, WithRebalancing(RebalanceConfig{ForceEvery: 14, MinRemaining: 5, MaxRebalances: 3}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,10 +284,10 @@ func TestRebalanceFaultyTransport(t *testing.T) {
 		ng, mods, _ := buildSnapWorkload(t, seed)
 		net := NewFaultyNetwork(nil, FaultPlan{CrashAtPhase: 40})
 		defer net.Close()
-		_, err := RunRebalancing(ng, mods, batches, Config{
+		_, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: batches, Dist: Config{
 			Machines: 3, WorkersPerMachine: 2, MaxInFlight: 8, Buffer: 4,
 			Network: net,
-		}, RebalanceConfig{ForceEvery: 12, MinRemaining: 5, MaxRebalances: 2})
+		}}, WithRebalancing(RebalanceConfig{ForceEvery: 12, MinRemaining: 5, MaxRebalances: 2}))
 		if err == nil {
 			t.Fatal("crash-at-phase-40 run completed without error")
 		}
@@ -370,7 +371,7 @@ func TestBarrierProtocolViolations(t *testing.T) {
 	t.Run("snapshot on a data link", func(t *testing.T) {
 		d := twoMachineChain(t, 0)
 		in := map[int]Transport{0: &stubTransport{frames: []Frame{
-			{Kind: FrameSnapshot, Epoch: 0, Phase: 1},
+			{Kind: netwire.FrameSnapshot, Epoch: 0, Phase: 1},
 		}}}
 		_, err := d.RunMachine(1, make([][]core.ExtInput, 3), in, nil)
 		if err == nil || !strings.Contains(err.Error(), "unexpected frame kind") {

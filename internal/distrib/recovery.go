@@ -114,17 +114,7 @@ func (co *Coordinator) tryRecover(cause error, epoch int) (resumePoint, bool) {
 	// dead participant handles with fresh ones.
 	var rejoined []int
 	deadline := time.After(rc.Window)
-	for _, pi := range lost {
-		machine := -1
-		for m := 0; m < co.Machines; m++ {
-			if co.ownerOf(m) == pi {
-				machine = m
-				break
-			}
-		}
-		if machine < 0 {
-			return resumePoint{}, false
-		}
+	for _, machine := range lost {
 		for {
 			var offer RejoinOffer
 			select {
@@ -144,8 +134,8 @@ func (co *Coordinator) tryRecover(cause error, epoch int) (resumePoint, bool) {
 				np.Abort(fmt.Errorf("distrib: rejoining machine %d has no usable checkpoint", offer.Machine))
 				return resumePoint{}, false
 			}
-			co.Participants[pi] = np
-			infos[pi] = info
+			co.Participants[machine] = np
+			infos[machine] = info
 			rejoined = append(rejoined, machine)
 			break
 		}
@@ -187,7 +177,7 @@ func (co *Coordinator) tryRecover(cause error, epoch int) (resumePoint, bool) {
 		}
 	}
 	for _, p := range co.Participants {
-		if err := p.BeginAt(next, base, starts); err != nil {
+		if err := p.BeginAt(next, base, starts, 0, co.launchHold(co.Rebalance.withDefaults(), base, len(co.events))); err != nil {
 			return resumePoint{}, false
 		}
 	}

@@ -139,10 +139,10 @@ func testRecoveryRejoin(t *testing.T, transport string) {
 	// mid-window accumulator state.
 	script := &scriptPlanner{seq: [][]int{{1, 4}, {1, 3}}}
 
-	var exchange *chanExchange
+	var exchange *linkExchange
 	var hosts []*WireHost
 	if transport == "chan" {
-		exchange = newChanExchange()
+		exchange = newLinkExchange(ChannelNetwork{})
 	} else {
 		addrs := make([]string, machines)
 		for m := range addrs {
@@ -374,7 +374,7 @@ func TestCoordinatorRecoveryEpochFail(t *testing.T) {
 	}
 
 	walDir := t.TempDir()
-	exchange := newChanExchange()
+	exchange := newLinkExchange(ChannelNetwork{})
 	script := &scriptPlanner{seq: [][]int{{1, 4}, {1, 4}}}
 
 	results := make(chan workerResult, machines)

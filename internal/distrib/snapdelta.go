@@ -24,12 +24,8 @@ import (
 // checkpoints never use deltas — recovery always restores from
 // self-contained full snapshots.
 
-// peerLocal is the peer tag for in-process handoffs, where every
-// machine shares one cache and one address space.
-const peerLocal = -1
-
 // snapCache holds the per-vertex converged base snapshots for one
-// participant (or one in-process deployment).
+// participant.
 type snapCache struct {
 	mu      sync.Mutex
 	entries map[int]snapEntry
@@ -38,7 +34,7 @@ type snapCache struct {
 type snapEntry struct {
 	full []byte
 	hash uint64
-	peer int // machine known to hold the same base; peerLocal in-process
+	peer int // machine known to hold the same base
 }
 
 func newSnapCache() *snapCache { return &snapCache{entries: map[int]snapEntry{}} }
@@ -84,27 +80,25 @@ func hashState(b []byte) uint64 {
 	return h
 }
 
-// encodeSnap builds the handoff snapshot for one leaving vertex: a
-// delta against the peer-converged base when the module supports it
-// and the delta is smaller, the full snapshot otherwise. It returns
-// the full state alongside so the caller can cache it once the
-// transfer lands (nil for modules without delta support — there is
-// nothing to converge on). It never updates the cache itself: with an
-// in-process shared cache the old entry must survive until the
-// receiving side has applied the delta built against it.
-func encodeSnap(mod core.Module, vertex, peer int, cache *snapCache) (core.VertexSnapshot, []byte, error) {
+// encodeSnap builds the handoff snapshot for one leaving vertex bound
+// for machine peer: a delta against the peer-converged base when the
+// module supports it and the delta is smaller, the full snapshot
+// otherwise. For modules with delta support the full state becomes the
+// cached base converged with peer — each worker keeps its own cache,
+// so the sender's can advance as soon as the snapshot is built.
+func encodeSnap(mod core.Module, vertex, peer int, cache *snapCache) (core.VertexSnapshot, error) {
 	ss, ok := mod.(core.Snapshotter)
 	if !ok {
-		return core.VertexSnapshot{}, nil, fmt.Errorf("distrib: vertex %d: module does not snapshot", vertex)
+		return core.VertexSnapshot{}, fmt.Errorf("distrib: vertex %d: module does not snapshot", vertex)
 	}
 	full, err := ss.SnapshotState()
 	if err != nil {
-		return core.VertexSnapshot{}, nil, fmt.Errorf("distrib: vertex %d: snapshot: %w", vertex, err)
+		return core.VertexSnapshot{}, fmt.Errorf("distrib: vertex %d: snapshot: %w", vertex, err)
 	}
 	snap := core.VertexSnapshot{Vertex: vertex, State: full}
 	ds, isDelta := mod.(core.DeltaSnapshotter)
-	if !isDelta || cache == nil {
-		return snap, nil, nil
+	if !isDelta {
+		return snap, nil
 	}
 	if e, ok := cache.lookup(vertex, peer); ok {
 		// An error or ok=false from AppendDelta just means no delta
@@ -115,7 +109,8 @@ func encodeSnap(mod core.Module, vertex, peer int, cache *snapCache) (core.Verte
 			snap.BaseHash = e.hash
 		}
 	}
-	return snap, full, nil
+	cache.store(vertex, peer, full)
+	return snap, nil
 }
 
 // applySnap restores one arriving snapshot into its module. A delta
@@ -134,9 +129,6 @@ func applySnap(mod core.Module, snap core.VertexSnapshot, from int, cache *snapC
 		if !ok {
 			return fmt.Errorf("distrib: vertex %d: delta snapshot for a module without delta support", snap.Vertex)
 		}
-		if cache == nil {
-			return fmt.Errorf("distrib: vertex %d: delta snapshot without a base cache", snap.Vertex)
-		}
 		e, found := cache.lookup(snap.Vertex, from)
 		if !found || e.hash != snap.BaseHash {
 			return fmt.Errorf("distrib: vertex %d: delta snapshot against base %#x which this end does not hold", snap.Vertex, snap.BaseHash)
@@ -154,10 +146,8 @@ func applySnap(mod core.Module, snap core.VertexSnapshot, from int, cache *snapC
 	if err := ss.RestoreState(snap.State); err != nil {
 		return fmt.Errorf("distrib: vertex %d: restoring state: %w", snap.Vertex, err)
 	}
-	if cache != nil {
-		if _, ok := mod.(core.DeltaSnapshotter); ok {
-			cache.store(snap.Vertex, from, snap.State)
-		}
+	if _, ok := mod.(core.DeltaSnapshotter); ok {
+		cache.store(snap.Vertex, from, snap.State)
 	}
 	return nil
 }

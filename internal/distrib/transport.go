@@ -18,8 +18,8 @@ import (
 var ErrLinkClosed = errors.New("link closed")
 
 // FrameKind distinguishes the traffic a link carries. Data frames are
-// the steady state; barrier and snapshot frames are the control plane
-// of dynamic repartitioning (DESIGN.md §8). The values mirror
+// the steady state; barrier frames end an epoch under dynamic
+// repartitioning (DESIGN.md §8). The values mirror
 // internal/netwire's wire tags one for one, so wire transports encode
 // the kind without translation.
 type FrameKind uint8
@@ -31,8 +31,6 @@ const (
 	FrameData FrameKind = netwire.FrameData
 	// FrameBarrier announces the sender quiesced its epoch after Phase.
 	FrameBarrier FrameKind = netwire.FrameBarrier
-	// FrameSnapshot hands off migrating vertices' serialized state.
-	FrameSnapshot FrameKind = netwire.FrameSnapshot
 )
 
 // Frame is one message on a link. A data frame is one phase's worth of
@@ -46,9 +44,9 @@ const (
 // A barrier frame (Kind == FrameBarrier) follows the sender's final
 // data frame of an epoch: Phase names the barrier — the last phase the
 // sender ran — and the receiver, once every upstream has sent the same
-// barrier, quiesces at the same phase and floods the barrier onward. A
-// snapshot frame (Kind == FrameSnapshot) rides a dedicated handoff
-// link between epochs, carrying migrating vertices' state in Snaps.
+// barrier, quiesces at the same phase and floods the barrier onward.
+// Migrating state never rides a data link: it crosses the control
+// plane between epochs (DESIGN.md §9).
 //
 // Epoch tags every frame with the deployment epoch that produced it
 // (0 until the first rebalance); receivers reject mismatches, so a
@@ -59,7 +57,6 @@ type Frame struct {
 	Epoch  int
 	Phase  int
 	Inputs []core.ExtInput
-	Snaps  []core.VertexSnapshot
 }
 
 // MinLinkDepth is the smallest legal link buffer depth. A zero-depth

@@ -202,7 +202,7 @@ func (t *tcpTransport) Recv() (Frame, error) {
 func wireFrame(f Frame) netwire.WireFrame {
 	return netwire.WireFrame{
 		Kind: uint8(f.Kind), Epoch: f.Epoch, Phase: f.Phase,
-		Inputs: f.Inputs, Snaps: f.Snaps,
+		Inputs: f.Inputs,
 	}
 }
 
@@ -229,7 +229,7 @@ func recvWire(r *netwire.RecvLink) (Frame, error) {
 	}
 	return Frame{
 		Kind: FrameKind(f.Kind), Epoch: f.Epoch, Phase: f.Phase,
-		Inputs: f.Inputs, Snaps: f.Snaps,
+		Inputs: f.Inputs,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -22,10 +23,10 @@ import (
 func runOver(t *testing.T, net Network, machines int, seed uint64, phases int) (Stats, []*recSink) {
 	t.Helper()
 	ng, mods, sinks := buildWorkload(t, seed)
-	st, err := RunStatic(ng, mods, make([][]core.ExtInput, phases), Config{
+	st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: make([][]core.ExtInput, phases), Dist: Config{
 		Machines: machines, WorkersPerMachine: 2, MaxInFlight: 8, Buffer: 4,
 		Network: net,
-	})
+	}})
 	if err != nil {
 		t.Fatalf("machines=%d over %s: %v", machines, net.Name(), err)
 	}
@@ -180,10 +181,10 @@ func TestFaultyCrashCascade(t *testing.T) {
 			ng, mods, _ := buildWorkload(t, 5)
 			done := make(chan error, 1)
 			go func() {
-				_, err := RunStatic(ng, mods, make([][]core.ExtInput, phases), Config{
+				_, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: make([][]core.ExtInput, phases), Dist: Config{
 					Machines: 4, WorkersPerMachine: 2, MaxInFlight: 4, Buffer: 2,
 					Network: net,
-				})
+				}})
 				done <- err
 			}()
 			var err error
@@ -230,11 +231,11 @@ func TestFaultySingleLinkCrash(t *testing.T) {
 		})
 	}
 	net := NewFaultyNetwork(nil, FaultPlan{CrashAtPhase: 20, CrashFrom: 1, CrashTo: 2})
-	st, err := RunStatic(ng, mods, make([][]core.ExtInput, phases), Config{
+	st, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: make([][]core.ExtInput, phases), Dist: Config{
 		Machines: 4, WorkersPerMachine: 1, MaxInFlight: 4, Buffer: 2,
 
 		Network: net,
-	})
+	}})
 	if err == nil || !strings.Contains(err.Error(), "injected crash") {
 		t.Fatalf("err = %v, want injected crash", err)
 	}
@@ -259,7 +260,7 @@ func TestFaultySingleLinkCrash(t *testing.T) {
 func TestRunRejectsNegativeBuffer(t *testing.T) {
 	ng, _ := graph.Chain(3).Number()
 	mods := []core.Module{bridge{}, bridge{}, bridge{}}
-	if _, err := RunStatic(ng, mods, nil, Config{Machines: 2, Buffer: -1}); err == nil {
+	if _, err := Run(context.Background(), RunConfig{Graph: ng, Mods: mods, Batches: nil, Dist: Config{Machines: 2, Buffer: -1}}); err == nil {
 		t.Error("negative link buffer accepted")
 	}
 	if _, err := NewDeployment(ng, mods, Config{Machines: 2, Buffer: -3}); err == nil {
@@ -342,7 +343,7 @@ func TestRunMachineOverWires(t *testing.T) {
 	batches := make([][]core.ExtInput, phases)
 
 	ngRef, modsRef, rsWant := build()
-	if _, err := RunStatic(ngRef, modsRef, batches, Config{Machines: 3, WorkersPerMachine: 1}); err != nil {
+	if _, err := Run(context.Background(), RunConfig{Graph: ngRef, Mods: modsRef, Batches: batches, Dist: Config{Machines: 3, WorkersPerMachine: 1}}); err != nil {
 		t.Fatal(err)
 	}
 

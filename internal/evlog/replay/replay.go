@@ -3,8 +3,9 @@
 // the launch decisions that survived any rollbacks — from a log's
 // KindEpochLaunch events and hands it to distrib.RunScripted, which
 // re-executes the whole multi-machine run in-process with no live
-// network, no timing and no coordinator: every barrier is known up
-// front. The replayed run is bit-identical to the recorded one, so a
+// network and no timing: its coordinator reads every partition and
+// barrier from the schedule, and each barrier is in place before its
+// epoch's machines run. The replayed run is bit-identical to the recorded one, so a
 // failing fault-sweep seed reproduces on a laptop from its log file.
 package replay
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -241,7 +242,7 @@ func BenchJSON(quick bool) BenchReport {
 				// Engine construction happens inside distrib.Run, so a
 				// partitioned row's cost honestly includes the planner
 				// and per-machine assembly.
-				rst, err = distrib.RunStatic(ng, mods, Phases(phases), cfg)
+				rst, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg})
 				if err != nil {
 					panic(err)
 				}
@@ -286,7 +287,7 @@ func BenchJSON(quick bool) BenchReport {
 			var rst distrib.Stats
 			w, a := allocsAround(func() {
 				var err error
-				rst, err = distrib.RunStatic(ng, mods, Phases(phases), cfg)
+				rst, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg})
 				if err != nil {
 					panic(err)
 				}

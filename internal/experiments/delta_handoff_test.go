@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -68,7 +69,7 @@ func runE14Handoff(t *testing.T, phases int, fullOnly bool) ([]int64, int64, int
 		MinRemaining:   8,
 		MaxRebalances:  6,
 	}
-	st, err := distrib.RunRebalancing(ng, mods, Phases(phases), cfg, rcfg)
+	st, err := distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg}, distrib.WithRebalancing(rcfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestE14DeltaHandoffCut(t *testing.T) {
 	ng, mods, ref, pre, _ := (E14Workload{N: 12, Drifter: 10, BaseGrain: 0, DriftGrain: 0, DriftAt: phases + 1}).Build()
 	cfg := E14Config()
 	cfg.Costs = pre
-	if _, err := distrib.RunStatic(ng, mods, Phases(phases), cfg); err != nil {
+	if _, err := distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range deltaLog {

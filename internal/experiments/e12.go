@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/distrib"
@@ -95,7 +96,7 @@ func E12PipelineScaleOut(quick bool) E12Result {
 		ng, mods := w.Build()
 		cfg := E12Config(m)
 		cfg.Costs = costs
-		st, err := distrib.RunStatic(ng, mods, Phases(phases), cfg)
+		st, err := distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg})
 		if err != nil {
 			panic(err)
 		}

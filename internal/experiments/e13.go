@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -77,7 +78,7 @@ func E13TransportOverhead(quick bool) E13Result {
 			var rst distrib.Stats
 			wall, allocs := allocsAround(func() {
 				var err error
-				rst, err = distrib.RunStatic(ng, mods, Phases(phases), cfg)
+				rst, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg})
 				if err != nil {
 					panic(err)
 				}
@@ -117,7 +118,7 @@ func E13FaultAbort(w Workload, phases int) (time.Duration, string) {
 	cfg.Network = distrib.NewFaultyNetwork(nil, distrib.FaultPlan{CrashAtPhase: phases / 2})
 	var runErr error
 	wall := metrics.MeasureWall(func() {
-		_, runErr = distrib.RunStatic(ng, mods, Phases(phases), cfg)
+		_, runErr = distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg})
 	})
 	if runErr == nil {
 		panic("E13: crash-at-phase-k run completed without error")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -253,13 +254,13 @@ func E14DynamicRepartition(quick bool) E14Result {
 		switch mode {
 		case "static-stale":
 			cfg.Costs = pre
-			st, err = distrib.RunStatic(ng, mods, Phases(phases), cfg)
+			st, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg})
 		case "rebalance":
 			cfg.Costs = pre
-			st, err = distrib.RunRebalancing(ng, mods, Phases(phases), cfg, E14RebalanceConfig())
+			st, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg}, distrib.WithRebalancing(E14RebalanceConfig()))
 		case "oracle":
 			cfg.Costs = post
-			st, err = distrib.RunStatic(ng, mods, Phases(phases), cfg)
+			st, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg})
 		}
 		if err != nil {
 			panic(fmt.Sprintf("E14 %s: %v", mode, err))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -120,7 +121,7 @@ func e16Run(w Workload, transport string, phases int) (time.Duration, uint64, di
 	var rst distrib.Stats
 	wall, allocs := allocsAround(func() {
 		var err error
-		rst, err = distrib.RunStatic(ng, mods, Phases(phases), cfg)
+		rst, err = distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: cfg})
 		if err != nil {
 			panic(err)
 		}

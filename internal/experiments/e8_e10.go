@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/core"
@@ -116,9 +117,9 @@ func E9Partitioned(quick bool) E9Result {
 			Seed: 0xE9,
 		}
 		ng, mods := w.Build()
-		st, err := distrib.RunStatic(ng, mods, Phases(phases), distrib.Config{
+		st, err := distrib.Run(context.Background(), distrib.RunConfig{Graph: ng, Mods: mods, Batches: Phases(phases), Dist: distrib.Config{
 			Machines: m, WorkersPerMachine: workersPerMachine, MaxInFlight: 16, Buffer: 8,
-		})
+		}})
 		if err != nil {
 			panic(err)
 		}

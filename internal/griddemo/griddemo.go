@@ -440,6 +440,10 @@ func runRebalancingWorker(o WorkerOptions, w Workload, host *distrib.WireHost) (
 	rcfg := distrib.RebalanceConfig{
 		ForceEvery:   o.ForceEvery,
 		MinRemaining: o.Phases / 6,
+		// Every drift poll is a TCP round trip per worker carrying a
+		// full times vector; poll less often than the 2 ms default
+		// rather than firehose the sockets.
+		CheckEvery: 10 * time.Millisecond,
 	}
 	co := &distrib.Coordinator{
 		Graph:        w.Graph,

@@ -136,18 +136,20 @@ func ReadValue(buf []byte) (event.Value, []byte, error) {
 }
 
 // Frame kinds on the wire. Data frames carry one phase's external
-// inputs; every other kind is control plane. FrameBarrier and
-// FrameSnapshot travel on data links during an epoch switch
-// (DESIGN.md §8); kinds FramePoll onward travel only on control
-// channels — the coordinator/participant protocol that lets separate
-// worker processes rebalance mid-run (DESIGN.md §9).
+// inputs; every other kind is control plane. FrameBarrier travels on
+// data links during an epoch switch (DESIGN.md §8); FrameSnapshot
+// and kinds FramePoll onward travel only on control channels — the
+// coordinator/participant protocol that rebalances a flock mid-run
+// (DESIGN.md §9).
 const (
 	// FrameData is a per-phase data frame: Phase plus Inputs.
 	FrameData = 0
 	// FrameBarrier is an epoch-quiesce announcement: Phase names the
 	// barrier (the last phase of the closing epoch); no payload. On a
 	// control channel it is the coordinator's quiesce command: the
-	// participant's head machines must stop after Phase.
+	// participant's head machines must stop after Phase. Sent between
+	// an epoch's FramePlan and its state delivery, it is that epoch's
+	// barrier, in place before any machine runs.
 	FrameBarrier = 1
 	// FrameSnapshot is a state-handoff frame: Phase names the barrier
 	// it follows and Snaps carries the migrating vertices' state. On a
@@ -163,8 +165,9 @@ const (
 	// phase the participant's head machines opened, Done reports its
 	// machines finished, Times carries measured per-vertex Step time.
 	FrameProgress = 4
-	// FramePause asks a participant to park its head machines at their
-	// next phase start and answer with a FrameProgress.
+	// FramePause asks a participant to stop its head machines opening
+	// phases (heads park at their next gate) and answer with a
+	// FrameProgress: a consistent snapshot of how far they had run.
 	FramePause = 5
 	// FrameQuiesced is a participant's unsolicited end-of-epoch report:
 	// Phase is the barrier it drained to (0 = ran to completion) and
@@ -212,6 +215,35 @@ const (
 	// root cause. Unlike FrameAbort it does not tear the channel down.
 	FrameFailed = 15
 )
+
+// kindNames names the frame kinds, indexed by kind.
+var kindNames = [...]string{
+	FrameData:     "Data",
+	FrameBarrier:  "Barrier",
+	FrameSnapshot: "Snapshot",
+	FramePoll:     "Poll",
+	FrameProgress: "Progress",
+	FramePause:    "Pause",
+	FrameQuiesced: "Quiesced",
+	FramePlan:     "Plan",
+	FrameFinish:   "Finish",
+	FrameAbort:    "Abort",
+	FrameWait:     "Wait",
+	FrameStarted:  "Started",
+	FrameRejoin:   "Rejoin",
+	FrameReset:    "Reset",
+	FrameRestore:  "Restore",
+	FrameFailed:   "Failed",
+}
+
+// KindName names a frame kind for error messages: "Progress" for
+// FrameProgress, "kind 16" for a kind no constant defines.
+func KindName(kind uint8) string {
+	if int(kind) < len(kindNames) {
+		return kindNames[kind]
+	}
+	return fmt.Sprintf("kind %d", kind)
+}
 
 // maxWireStarts bounds a plan frame's machine count; a deployment with
 // more stages than this is not a plausible frame, it is corruption.
@@ -322,7 +354,7 @@ func AppendFrame(buf []byte, f WireFrame) []byte {
 			buf = binary.AppendUvarint(buf, uint64(s))
 		}
 	default:
-		panic(fmt.Sprintf("netwire: unencodable frame kind %d", f.Kind))
+		panic(fmt.Sprintf("netwire: unencodable frame %s", KindName(f.Kind)))
 	}
 	return buf
 }
@@ -359,7 +391,7 @@ func DecodeFrame(payload []byte) (WireFrame, error) {
 		f.Inputs, err = decodeInputs(payload)
 	case FrameBarrier, FramePoll, FramePause, FrameFinish, FrameWait:
 		if len(payload) != 0 {
-			err = fmt.Errorf("netwire: %d payload bytes on a frame of kind %d", len(payload), f.Kind)
+			err = fmt.Errorf("netwire: %d payload bytes on a %s frame", len(payload), KindName(f.Kind))
 		}
 	case FrameStarted:
 		if len(payload) != 1 {
@@ -382,7 +414,7 @@ func DecodeFrame(payload []byte) (WireFrame, error) {
 		f.Msg, err = decodeMsg(payload)
 	case FrameReset, FrameRestore:
 		if len(payload) != 0 {
-			err = fmt.Errorf("netwire: %d payload bytes on a frame of kind %d", len(payload), f.Kind)
+			err = fmt.Errorf("netwire: %d payload bytes on a %s frame", len(payload), KindName(f.Kind))
 		}
 	case FrameRejoin:
 		if len(payload) == 0 {
@@ -391,7 +423,7 @@ func DecodeFrame(payload []byte) (WireFrame, error) {
 		f.Done, payload = payload[0] != 0, payload[1:]
 		f.Starts, err = decodeRejoinStarts(payload)
 	default:
-		err = fmt.Errorf("netwire: unknown frame kind %d", f.Kind)
+		err = fmt.Errorf("netwire: unknown frame %s", KindName(f.Kind))
 	}
 	if err != nil {
 		return WireFrame{}, err

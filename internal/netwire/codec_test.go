@@ -370,3 +370,32 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// Every frame kind has a name for error messages, and a kind no
+// constant defines still reads as its number.
+func TestKindName(t *testing.T) {
+	for kind, want := range map[uint8]string{
+		FrameData:     "Data",
+		FrameBarrier:  "Barrier",
+		FrameSnapshot: "Snapshot",
+		FramePoll:     "Poll",
+		FrameProgress: "Progress",
+		FramePause:    "Pause",
+		FrameQuiesced: "Quiesced",
+		FramePlan:     "Plan",
+		FrameFinish:   "Finish",
+		FrameAbort:    "Abort",
+		FrameWait:     "Wait",
+		FrameStarted:  "Started",
+		FrameRejoin:   "Rejoin",
+		FrameReset:    "Reset",
+		FrameRestore:  "Restore",
+		FrameFailed:   "Failed",
+		16:            "kind 16",
+		255:           "kind 255",
+	} {
+		if got := KindName(kind); got != want {
+			t.Errorf("KindName(%d) = %q, want %q", kind, got, want)
+		}
+	}
+}

@@ -28,6 +28,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/baseline"
@@ -206,9 +207,9 @@ func (s *System) Replica(name string, workers int, subscribe map[string]VertexID
 // RunPartitioned executes the computation partitioned across simulated
 // machines (§6 pipeline partitioning; see internal/distrib).
 func (s *System) RunPartitioned(machines, workersPerMachine int, batches [][]ExtInput) (distrib.Stats, error) {
-	return distrib.RunStatic(s.ng, s.mods, batches, distrib.Config{
+	return distrib.Run(context.Background(), distrib.RunConfig{Graph: s.ng, Mods: s.mods, Batches: batches, Dist: distrib.Config{
 		Machines: machines, WorkersPerMachine: workersPerMachine,
-	})
+	}})
 }
 
 // LoadSpecFile parses an XML computation specification and builds it
