@@ -585,23 +585,16 @@ func (mc *machine) run(phases, window int, in, out map[int]Transport, fail func(
 // external inputs — the Run facade's static path.
 func (d *Deployment) runWired(batches [][]core.ExtInput, net Network) (Stats, error) {
 	t0 := time.Now()
-	// Wire every connected machine pair through the Network, in
-	// deterministic (from, to) order.
-	type linkKey struct{ from, to int }
-	var order []linkKey
-	transports := make(map[linkKey]Transport)
-	for m, mc := range d.machines {
-		for _, dst := range mc.downstream {
-			k := linkKey{m, dst}
-			tr, err := net.Link(m, dst, d.cfg.Buffer)
-			if err != nil {
-				for _, kk := range order {
-					transports[kk].Close()
-				}
-				return Stats{}, fmt.Errorf("distrib: wiring link %d->%d over %s: %w", m, dst, net.Name(), err)
-			}
-			order = append(order, k)
-			transports[k] = tr
+	// Wire every machine before any of them runs, so a wiring failure
+	// leaves nothing running.
+	ex := newLinkExchange(net)
+	ins := make([]map[int]Transport, len(d.machines))
+	outs := make([]map[int]Transport, len(d.machines))
+	for m := range d.machines {
+		var err error
+		if ins[m], outs[m], err = ex.wireFor(m)(d, 0); err != nil {
+			ex.close()
+			return Stats{}, err
 		}
 	}
 
@@ -618,19 +611,10 @@ func (d *Deployment) runWired(batches [][]core.ExtInput, net Network) (Stats, er
 	}
 	splitExternalAll(d.machines, d.starts, batches)
 	for m, mc := range d.machines {
-		in := make(map[int]Transport, len(mc.upstream))
-		for _, up := range mc.upstream {
-			in[up] = transports[linkKey{up, m}]
-		}
-		out := make(map[int]Transport, len(mc.downstream))
-		for _, dst := range mc.downstream {
-			out[dst] = transports[linkKey{m, dst}]
-		}
-		mc := mc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mc.finalStats = mc.run(len(batches), d.cfg.MaxInFlight, in, out, fail)
+			mc.finalStats = mc.run(len(batches), d.cfg.MaxInFlight, ins[m], outs[m], fail)
 		}()
 	}
 	wg.Wait()
@@ -644,19 +628,11 @@ func (d *Deployment) runWired(batches [][]core.ExtInput, net Network) (Stats, er
 	for _, mc := range d.machines {
 		st.PerMachine = append(st.PerMachine, mc.finalStats)
 	}
-	for _, k := range order {
-		ls := transports[k].Stats()
-		st.Links = append(st.Links, ls)
-		st.CrossMessages += ls.Values
-	}
+	st.Links, st.CrossMessages = ex.stats()
 	st.Wall = time.Since(t0)
 	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	if err != nil {
-		return st, err
-	}
-	return st, nil
+	defer errMu.Unlock()
+	return st, firstErr
 }
 
 // assemble builds the per-machine subgraphs, engines, portals and

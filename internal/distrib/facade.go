@@ -259,10 +259,12 @@ drain:
 	return st, err
 }
 
-// linkExchange hands both in-process workers of a link the same
+// linkExchange hands both in-process ends of a link the same
 // Transport, keyed (from, to, epoch) — the in-memory analogue of two
-// fuseworker processes dialing each other for an epoch's wiring. Links
-// are created through the Network, so fault and tap wrappers apply.
+// fuseworker processes dialing each other for an epoch's wiring. It
+// wires every in-process run: a static run's machines at epoch 0, a
+// coordinated run's workers at every epoch. Links are created through
+// the Network, so fault and tap wrappers apply.
 type linkExchange struct {
 	mu    sync.Mutex
 	net   Network
@@ -282,7 +284,7 @@ func (x *linkExchange) get(from, to, epoch, depth int) (Transport, error) {
 	}
 	tr, err := x.net.Link(from, to, depth)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("distrib: wiring link %d->%d over %s: %w", from, to, x.net.Name(), err)
 	}
 	x.links[k] = tr
 	return tr, nil
@@ -311,6 +313,15 @@ func (x *linkExchange) stats() ([]LinkStats, int64) {
 		values += links[i].Values
 	}
 	return links, values
+}
+
+// close closes every link the exchange created.
+func (x *linkExchange) close() {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, tr := range x.links {
+		tr.Close()
+	}
 }
 
 // wireFor builds machine m's WireFunc over the exchange.
